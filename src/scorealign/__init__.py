@@ -4,21 +4,21 @@ from .align import (
     ClassStats,
     DegenerateScaleWarning,
     ScoreMap,
-    apply_oracle_alignment,
+    align_maps,
+    class_scales,
     fit_class_stats,
     normalize_meanmax,
     normalize_meanstd,
+    scale_by_class,
 )
 from .heads import (
     HeadConfig,
     HeadModel,
     TrainConfig,
-    calibrate,
-    calibrate_with_classifier,
-    calibrate_with_regressor,
     compute_image_stats,
     predict_class,
     predict_stats,
+    predicted_scale,
     train_classifier,
     train_regressor,
 )

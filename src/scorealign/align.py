@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+
+
+Scale = tuple[float, float]  # (u, gamma) of one image or class
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -93,41 +96,47 @@ def normalize_meanmax(smap: ScoreMap, u: float, gamma: float, eps: float = 1e-6)
     return ScoreMap(smap.image_id, (smap.values - u) / denom)
 
 
-def normalize_meanstd(smap: ScoreMap, u: float, sigma: float, eps: float = 1e-6) -> ScoreMap:
-    """Mean/std variant: identical to meanmax with gamma = u + 3*sigma."""
+def meanstd_gamma(u: float, sigma: float) -> float:
+    """The mean/std variant's reference max: gamma = u + 3*sigma."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return normalize_meanmax(smap, u, u + 3.0 * sigma, eps)
+    return u + 3.0 * sigma
 
 
-def apply_oracle_alignment(
-    maps: Sequence[ScoreMap],
-    class_ids: Mapping[str, int],
-    stats: Sequence[ClassStats],
-    variant: str = "meanmax",
-    eps: float = 1e-6,
-) -> list[ScoreMap]:
-    """Calibrate each map with its own class's fitted statistics.
+def normalize_meanstd(smap: ScoreMap, u: float, sigma: float, eps: float = 1e-6) -> ScoreMap:
+    """Mean/std variant: identical to meanmax with gamma = u + 3*sigma."""
+    return normalize_meanmax(smap, u, meanstd_gamma(u, sigma), eps)
 
-    The class-aware (label-given) alignment path; `class_ids` maps
-    image_id to class id.
-    """
-    if variant not in ("meanmax", "meanstd"):
-        raise ValueError(f"unknown variant {variant!r}")
-    by_class = {s.class_id: s for s in stats}
-    out = []
-    for smap in maps:
-        if smap.image_id not in class_ids:
-            raise KeyError(f"{smap.image_id}: no class label")
-        cid = class_ids[smap.image_id]
-        if cid not in by_class:
-            raise KeyError(f"{smap.image_id}: no fitted stats for class {cid}")
-        st = by_class[cid]
-        if variant == "meanmax":
-            out.append(normalize_meanmax(smap, st.u, st.gamma, eps))
-        else:
-            out.append(normalize_meanstd(smap, st.u, st.sigma, eps))
-    return out
+
+def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[int, Scale]:
+    """Each class's (u, gamma) under the meanmax or meanstd variant."""
+    if variant == "meanmax":
+        return {s.class_id: (s.u, s.gamma) for s in stats}
+    if variant == "meanstd":
+        return {s.class_id: (s.u, meanstd_gamma(s.u, s.sigma)) for s in stats}
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def scale_by_class(scales: Mapping[int, Scale],
+                   class_of: Callable[[str], Optional[int]]) -> Callable[[str], Scale]:
+    """Per-image (u, gamma) of the class `class_of` gives the image: its
+    label (oracle) or the classifier's prediction. None means unlabeled."""
+    def scale_of(image_id: str) -> Scale:
+        cid = class_of(image_id)
+        if cid is None:
+            raise KeyError(f"{image_id}: no class label")
+        if cid not in scales:
+            raise KeyError(f"{image_id}: no fitted stats for class {cid}")
+        return scales[cid]
+    return scale_of
+
+
+def align_maps(maps: Sequence[ScoreMap], scale_of: Callable[[str], Scale],
+               eps: float = 1e-6) -> list[ScoreMap]:
+    """Mean-max normalize each map with the (u, gamma) `scale_of` gives its
+    image id. The oracle, classifier and regressor modes differ only in
+    `scale_of`."""
+    return [normalize_meanmax(smap, *scale_of(smap.image_id), eps) for smap in maps]
 
 
 def write_stats_csv(path, stats: Sequence[ClassStats]) -> None:

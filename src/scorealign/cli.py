@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,21 +80,27 @@ def _top_fraction(text: str):
     return float(text)
 
 
+# gen sets each tuple field of SynthConfig with a pair of flags
+_SYNTH_PAIRS = {
+    "grid": ("grid_h", "grid_w"),
+    "spread_range": ("spread_min", "spread_max"),
+    "anomaly_area_range": ("area_min", "area_max"),
+}
+# the TrainConfig fields train-head exposes as flags of the same name
+_TRAIN_FLAGS = ("lr", "momentum", "weight_decay", "batch_size", "iterations", "seed")
+
+
+def _add_field_flag(p, dest: str, default) -> None:
+    """--dest typed and defaulted by the config field default it sets."""
+    p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+
+
 def _synth_config_from_args(args) -> synth.SynthConfig:
-    return synth.SynthConfig(
-        k_classes=args.k_classes,
-        grid=(args.grid_h, args.grid_w),
-        feat_dim=args.feat_dim,
-        center_radius=args.center_radius,
-        spread_range=(args.spread_min, args.spread_max),
-        anomaly_rel_magnitude=args.anomaly_rel_magnitude,
-        anomaly_area_range=(args.area_min, args.area_max),
-        train_normal=args.train_normal,
-        test_normal=args.test_normal,
-        test_anomalous=args.test_anomalous,
-        train_noise=args.train_noise,
-        seed=args.seed,
-    )
+    return synth.SynthConfig(**{
+        f.name: (tuple(getattr(args, d) for d in _SYNTH_PAIRS[f.name])
+                 if f.name in _SYNTH_PAIRS else getattr(args, f.name))
+        for f in fields(synth.SynthConfig)
+    })
 
 
 def cmd_gen(args) -> int:
@@ -175,21 +181,10 @@ def _head_config_from_args(args, mode: str, out_dim: int) -> heads.HeadConfig:
     )
 
 
-def _train_config_from_args(args) -> heads.TrainConfig:
-    return heads.TrainConfig(
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
-
-
 def cmd_train_head(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     features = _load_features(manifest, "train")
-    train_cfg = _train_config_from_args(args)
+    train_cfg = heads.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
     if args.mode == "regressor":
         maps = _load_maps(manifest, Path(args.maps), "train")
         head_cfg = _head_config_from_args(args, "regressor", 2)
@@ -223,35 +218,26 @@ def cmd_align(args) -> int:
             raise UsageError("align --mode oracle needs --stats")
         if any(e.class_id is None for e in entries):
             raise ManifestError("align --mode oracle needs class_ids in the manifest")
-        stats = align_mod.read_stats_csv(args.stats)
+        scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
         class_ids = {e.image_id: e.class_id for e in entries}
-        aligned = align_mod.apply_oracle_alignment(
-            score_maps, class_ids, stats, variant=args.variant, eps=args.eps
-        )
+        scale_of = align_mod.scale_by_class(scales, class_ids.get)
     elif args.mode == "classifier":
         if args.model is None or args.stats is None:
             raise UsageError("align --mode classifier needs --model and --stats")
         model = _load_model(args.model)
-        stats = align_mod.read_stats_csv(args.stats)
+        scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
         features = _load_features(manifest, args.split)
-        aligned = [
-            heads.calibrate_with_classifier(
-                model, stats, smap, features[smap.image_id],
-                variant=args.variant, eps=args.eps,
-            )
-            for smap in score_maps
-        ]
-    elif args.mode == "regressor":
+        scale_of = align_mod.scale_by_class(
+            scales, lambda image_id: heads.predict_class(model, features[image_id]))
+    else:  # regressor; argparse admits no other mode
         if args.model is None:
             raise UsageError("align --mode regressor needs --model")
         model = _load_model(args.model)
         features = _load_features(manifest, args.split)
-        aligned = [
-            heads.calibrate_with_regressor(model, smap, features[smap.image_id], eps=args.eps)
-            for smap in score_maps
-        ]
-    else:
-        raise UsageError(f"unknown align mode {args.mode!r}")
+
+        def scale_of(image_id):
+            return heads.predicted_scale(model, features[image_id])
+    aligned = align_mod.align_maps(score_maps, scale_of, args.eps)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,6 +272,13 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     maps = _load_maps(manifest, Path(args.maps), "test")
+    combined = []
+    for path in args.metrics or ():
+        with open(path) as src:
+            header = src.readline().strip()
+            if header != metrics.MetricsReport.CSV_HEADER:
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            combined += [f"{Path(path).stem},{line}" for line in src if line.strip()]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -315,12 +308,7 @@ def cmd_report(args) -> int:
     if args.metrics:
         with open(out_dir / "metrics_combined.csv", "w") as f:
             f.write("source," + metrics.MetricsReport.CSV_HEADER + "\n")
-            for path in args.metrics:
-                with open(path) as src:
-                    header = src.readline()
-                    for line in src:
-                        if line.strip():
-                            f.write(f"{Path(path).stem},{line}")
+            f.writelines(combined)
     _write_run_config(out_dir / "run_config.json", args)
     print(f"report -> {out_dir}")
     return 0
@@ -364,35 +352,31 @@ def cmd_ablate(args) -> int:
     train_maps = _load_maps(manifest, Path(args.maps), "train")
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_features = _load_features(manifest, "test")
-    test_entries = manifest.split("test")
+    test_score_maps = [ScoreMap(e.image_id, test_maps[e.image_id])
+                       for e in manifest.split("test")]
+    raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
+           for tf in ABLATION_TOP_FRACTIONS}
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for structure in heads.STRUCTURES:
         for dropout in ABLATION_DROPOUTS:
-            head_cfg = heads.HeadConfig(
-                mode="regressor",
-                n_conv=heads.STRUCTURES[structure][0],
-                n_linear=heads.STRUCTURES[structure][1],
-                hidden_dim=args.hidden_dim,
-                dropout_rate=dropout,
-            )
+            n_conv, n_linear = heads.STRUCTURES[structure]
+            head_cfg = heads.HeadConfig(n_conv=n_conv, n_linear=n_linear,
+                                        hidden_dim=args.hidden_dim, dropout_rate=dropout)
             train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
             model = heads.train_regressor(features, train_maps, head_cfg, train_cfg)
             aligned = {
-                e.image_id: heads.calibrate_with_regressor(
-                    model,
-                    ScoreMap(e.image_id, test_maps[e.image_id]),
-                    test_features[e.image_id],
-                ).values
-                for e in test_entries
+                smap.image_id: smap.values
+                for smap in align_mod.align_maps(
+                    test_score_maps,
+                    lambda image_id: heads.predicted_scale(model, test_features[image_id]))
             }
             for tf in ABLATION_TOP_FRACTIONS:
-                raw = metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
                 cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
-                rows.append((structure, dropout, tf, raw.i_auroc, cal.i_auroc,
-                             raw.i_ap, cal.i_ap))
+                rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
+                             raw[tf].i_ap, cal.i_ap))
             print(f"ablate {structure} dropout={dropout}: "
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     with open(out, "w") as f:
@@ -412,21 +396,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate the synthetic benchmark")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with SynthConfig fields (overrides flags)")
-    p.add_argument("--k-classes", type=int, default=8)
-    p.add_argument("--grid-h", type=int, default=16)
-    p.add_argument("--grid-w", type=int, default=16)
-    p.add_argument("--feat-dim", type=int, default=8)
-    p.add_argument("--center-radius", type=float, default=10.0)
-    p.add_argument("--spread-min", type=float, default=0.25)
-    p.add_argument("--spread-max", type=float, default=4.0)
-    p.add_argument("--anomaly-rel-magnitude", type=float, default=3.0)
-    p.add_argument("--area-min", type=float, default=0.05)
-    p.add_argument("--area-max", type=float, default=0.2)
-    p.add_argument("--train-normal", type=int, default=100)
-    p.add_argument("--test-normal", type=int, default=20)
-    p.add_argument("--test-anomalous", type=int, default=20)
-    p.add_argument("--train-noise", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(synth.SynthConfig):
+        if f.name in _SYNTH_PAIRS:
+            for dest, default in zip(_SYNTH_PAIRS[f.name], f.default):
+                _add_field_flag(p, dest, default)
+        else:
+            _add_field_flag(p, f.name, f.default)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit-base", help="fit the coreset memory bank")
@@ -452,20 +427,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-head", help="train the regressor or classifier head")
     p.add_argument("--data", required=True)
     p.add_argument("--maps", help="score maps dir (required for regressor)")
-    p.add_argument("--mode", choices=("regressor", "classifier"), default="regressor")
+    head = heads.HeadConfig
+    p.add_argument("--mode", choices=("regressor", "classifier"), default=head.mode)
     p.add_argument("--out", required=True)
-    p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default="1conv+2lin")
-    p.add_argument("--hidden-dim", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.25)
-    p.add_argument("--activation", choices=("gelu", "relu"), default="gelu")
-    p.add_argument("--target", choices=("meanmax", "meanstd"), default="meanmax")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=5e-2)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--iterations", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    structure = {v: k for k, v in heads.STRUCTURES.items()}[(head.n_conv, head.n_linear)]
+    p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default=structure)
+    p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
+    p.add_argument("--dropout", type=float, default=head.dropout_rate)
+    p.add_argument("--activation", choices=("gelu", "relu"), default=head.activation)
+    p.add_argument("--target", choices=("meanmax", "meanstd"), default=head.target)
+    p.add_argument("--alpha", type=float, default=head.alpha)
+    for name in _TRAIN_FLAGS:
+        _add_field_flag(p, name, getattr(heads.TrainConfig, name))
     p.set_defaults(func=cmd_train_head)
 
     p = sub.add_parser("align", help="calibrate score maps")
@@ -475,7 +448,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
     p.add_argument("--stats", help="class-stats CSV (oracle / classifier modes)")
     p.add_argument("--model", help="head checkpoint dir (classifier / regressor modes)")
-    p.add_argument("--variant", choices=("meanmax", "meanstd"), default="meanmax")
+    p.add_argument("--variant", choices=("meanmax", "meanstd"), default="meanmax",
+                   help="oracle / classifier modes; regressor mode takes the variant "
+                        "from the head's train-head --target")
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--eps", type=float, default=1e-6)
     p.set_defaults(func=cmd_align)
@@ -511,9 +486,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--maps", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden-dim", type=int, default=256)
-    p.add_argument("--iterations", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden-dim", type=int, default=heads.HeadConfig.hidden_dim)
+    p.add_argument("--iterations", type=int, default=heads.TrainConfig.iterations)
+    p.add_argument("--seed", type=int, default=heads.TrainConfig.seed)
     p.set_defaults(func=cmd_ablate)
 
     return parser

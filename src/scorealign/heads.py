@@ -20,12 +20,12 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import net
-from .align import ClassStats, ScoreMap, normalize_meanmax, normalize_meanstd
+from .align import meanstd_gamma
 from .tensorio import read_tensor, write_tensor
 
 STRUCTURES = {
@@ -110,30 +110,6 @@ def _clip_gradients(params, max_norm: float) -> None:
             p.grad *= scale
 
 
-class _TailAverager:
-    """Running mean of parameter values over the last avg_frac of training."""
-
-    def __init__(self, iterations: int, avg_frac: float):
-        self.start = iterations - int(avg_frac * iterations) if avg_frac > 0 else iterations
-        self.sums = None
-        self.count = 0
-
-    def update(self, it: int, params) -> None:
-        if it < self.start:
-            return
-        if self.sums is None:
-            self.sums = [p.value.copy() for p in params]
-        else:
-            for s, p in zip(self.sums, params):
-                s += p.value
-        self.count += 1
-
-    def finalize(self, params) -> None:
-        if self.count:
-            for s, p in zip(self.sums, params):
-                p.value[...] = s / self.count
-
-
 def build_head(cfg: HeadConfig, in_channels: int, rng) -> net.Network:
     """Assemble the layer stack: n_conv 3x3 convs (channel-preserving, each
     followed by the activation), global average pooling, then n_linear
@@ -179,6 +155,8 @@ class HeadModel:
     input_scale: np.ndarray = None
     loss_trace: list = field(default_factory=list)
     holdout_accuracy: Optional[float] = None
+    # classifier output index -> class id (None for a regressor)
+    class_labels: Optional[list] = None
 
 
 def _fit_input_norm(features: Mapping[str, np.ndarray], ids: Sequence[str]):
@@ -206,6 +184,53 @@ def _stack_features(
 ) -> np.ndarray:
     x = np.stack([np.asarray(features[i], dtype=np.float64) for i in ids])
     return (x - offset[None, :, None, None]) / scale[None, :, None, None]
+
+
+def _fit(
+    features: Mapping[str, np.ndarray],
+    ids: Sequence[str],
+    head_cfg: HeadConfig,
+    train_cfg: TrainConfig,
+    batch_loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
+    **model_fields,
+) -> HeadModel:
+    """The SGD loop both heads share: inputs standardized over `ids`, batches
+    drawn from `ids`, batch_loss(output, batch indices) -> (mean loss, output
+    gradient), clipped steps, and the tail average as the returned model."""
+    in_channels = int(np.asarray(features[ids[0]]).shape[0])
+    in_offset, in_scale = _fit_input_norm(features, ids)
+    rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
+    network = build_head(head_cfg, in_channels, rng)
+    optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
+
+    model = HeadModel(config=head_cfg, in_channels=in_channels, network=network,
+                      seed=train_cfg.seed, input_offset=in_offset, input_scale=in_scale,
+                      **model_fields)
+    params = network.parameters()
+    iterations, avg_frac = train_cfg.iterations, train_cfg.avg_frac
+    tail_start = iterations - int(avg_frac * iterations) if avg_frac > 0 else iterations
+    tail_sums, tail_count = None, 0  # running parameter sums from tail_start on
+    for it in range(iterations):
+        idx = rng.integers(0, len(ids), size=train_cfg.batch_size)
+        x = _stack_features(features, [ids[i] for i in idx], in_offset, in_scale)
+        out = network.forward(x, mode="train", rng=rng)
+        loss, grad = batch_loss(out, idx)
+        if not np.isfinite(loss):
+            raise net.NumericalError(f"non-finite loss at iteration {it}")
+        network.backward(grad / train_cfg.batch_size)
+        _clip_gradients(params, train_cfg.grad_clip)
+        optim.step(params)
+        if it >= tail_start:
+            if tail_sums is None:
+                tail_sums = [p.value.copy() for p in params]
+            else:
+                for total, p in zip(tail_sums, params):
+                    total += p.value
+            tail_count += 1
+        model.loss_trace.append(loss)
+    for total, p in zip(tail_sums or [], params):
+        p.value[...] = total / tail_count
+    return model
 
 
 def train_regressor(
@@ -238,39 +263,12 @@ def train_regressor(
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale
 
-    in_channels = int(np.asarray(features[ids[0]]).shape[0])
-    in_offset, in_scale = _fit_input_norm(features, ids)
-    rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
-    network = build_head(head_cfg, in_channels, rng)
-    optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
-
-    model = HeadModel(
-        config=head_cfg,
-        in_channels=in_channels,
-        network=network,
-        seed=train_cfg.seed,
-        target_offset=t_offset,
-        target_scale=t_scale,
-        input_offset=in_offset,
-        input_scale=in_scale,
-    )
-    params = network.parameters()
-    averager = _TailAverager(train_cfg.iterations, train_cfg.avg_frac)
-    for it in range(train_cfg.iterations):
-        idx = rng.integers(0, len(ids), size=train_cfg.batch_size)
-        x = _stack_features(features, [ids[i] for i in idx], in_offset, in_scale)
-        out = network.forward(x, mode="train", rng=rng)
+    def batch_loss(out, idx):
         loss_elems, grad = net.smooth_l1(out, targets_n[idx], head_cfg.alpha)
-        loss = float(loss_elems.sum(axis=1).mean())
-        if not np.isfinite(loss):
-            raise net.NumericalError(f"non-finite loss at iteration {it}")
-        network.backward(grad / train_cfg.batch_size)
-        _clip_gradients(params, train_cfg.grad_clip)
-        optim.step(params)
-        averager.update(it, params)
-        model.loss_trace.append(loss)
-    averager.finalize(params)
-    return model
+        return float(loss_elems.sum(axis=1).mean()), grad
+
+    return _fit(features, ids, head_cfg, train_cfg, batch_loss,
+                target_offset=t_offset, target_scale=t_scale)
 
 
 def train_classifier(
@@ -305,45 +303,19 @@ def train_classifier(
     train_ids = [i for i in ids if i not in set(holdout)] or ids
     labels = np.array([class_index[class_ids[i]] for i in train_ids])
 
-    in_channels = int(np.asarray(features[ids[0]]).shape[0])
-    in_offset, in_scale = _fit_input_norm(features, train_ids)
-    rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
-    network = build_head(head_cfg, in_channels, rng)
-    optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
-
-    model = HeadModel(
-        config=head_cfg,
-        in_channels=in_channels,
-        network=network,
-        seed=train_cfg.seed,
-        target_offset=np.zeros(head_cfg.out_dim),
-        target_scale=np.ones(head_cfg.out_dim),
-        input_offset=in_offset,
-        input_scale=in_scale,
-    )
-    params = network.parameters()
-    averager = _TailAverager(train_cfg.iterations, train_cfg.avg_frac)
-    for it in range(train_cfg.iterations):
-        idx = rng.integers(0, len(train_ids), size=train_cfg.batch_size)
-        x = _stack_features(features, [train_ids[i] for i in idx], in_offset, in_scale)
-        out = network.forward(x, mode="train", rng=rng)
+    def batch_loss(out, idx):
         loss_elems, grad = net.cross_entropy(out, labels[idx])
-        loss = float(loss_elems.mean())
-        if not np.isfinite(loss):
-            raise net.NumericalError(f"non-finite loss at iteration {it}")
-        network.backward(grad / train_cfg.batch_size)
-        _clip_gradients(params, train_cfg.grad_clip)
-        optim.step(params)
-        averager.update(it, params)
-        model.loss_trace.append(loss)
-    averager.finalize(params)
+        return float(loss_elems.mean()), grad
 
+    model = _fit(features, train_ids, head_cfg, train_cfg, batch_loss,
+                 target_offset=np.zeros(head_cfg.out_dim),
+                 target_scale=np.ones(head_cfg.out_dim),
+                 class_labels=classes)
     if holdout:
-        x = _stack_features(features, holdout, in_offset, in_scale)
-        pred = np.argmax(network.forward(x, mode="eval"), axis=1)
+        x = _stack_features(features, holdout, model.input_offset, model.input_scale)
+        pred = np.argmax(model.network.forward(x, mode="eval"), axis=1)
         truth = np.array([class_index[class_ids[i]] for i in holdout])
         model.holdout_accuracy = float(np.mean(pred == truth))
-    model.class_labels = classes
     return model
 
 
@@ -367,43 +339,19 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     x = _stack_features({"_": features}, ["_"], model.input_offset, model.input_scale)
     logits = model.network.forward(x, mode="eval")[0]
     idx = int(np.argmax(logits))  # np.argmax returns the first (lowest) index on ties
-    labels = getattr(model, "class_labels", None)
-    return labels[idx] if labels is not None else idx
+    return model.class_labels[idx] if model.class_labels is not None else idx
 
 
-def calibrate(smap: ScoreMap, u_hat: float, gamma_hat: float, eps: float = 1e-6) -> ScoreMap:
-    """Mean-max normalize a map with predicted statistics."""
-    return normalize_meanmax(smap, u_hat, gamma_hat, eps)
+def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
+    """The regressor's (u, gamma) for one image.
 
-
-def calibrate_with_regressor(
-    model: HeadModel, smap: ScoreMap, features: np.ndarray, eps: float = 1e-6
-) -> ScoreMap:
+    A meanstd head predicts (u, sigma); a negative sigma is clamped to 0
+    before gamma = u + 3*sigma.
+    """
     u_hat, second = predict_stats(model, features)
     if model.config.target == "meanmax":
-        return calibrate(smap, u_hat, second, eps)
-    return normalize_meanstd(smap, u_hat, max(second, 0.0), eps)
-
-
-def calibrate_with_classifier(
-    model: HeadModel,
-    stats: Sequence[ClassStats],
-    smap: ScoreMap,
-    features: np.ndarray,
-    variant: str = "meanmax",
-    eps: float = 1e-6,
-) -> ScoreMap:
-    """Classifier-selected class statistics drive the normalization."""
-    cid = predict_class(model, features)
-    by_class = {s.class_id: s for s in stats}
-    if cid not in by_class:
-        raise KeyError(f"predicted class {cid} has no fitted stats")
-    st = by_class[cid]
-    if variant == "meanmax":
-        return normalize_meanmax(smap, st.u, st.gamma, eps)
-    if variant == "meanstd":
-        return normalize_meanstd(smap, st.u, st.sigma, eps)
-    raise ValueError(f"unknown variant {variant!r}")
+        return u_hat, second
+    return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
@@ -424,7 +372,7 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
         "param_shapes": [list(p.value.shape) for p in params],
         "loss_trace": model.loss_trace,
         "holdout_accuracy": model.holdout_accuracy,
-        "class_labels": getattr(model, "class_labels", None),
+        "class_labels": model.class_labels,
     }
     with open(ckpt_dir / "head.json", "w") as f:
         json.dump(header, f, indent=2)
@@ -448,7 +396,7 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         if list(value.shape) != list(p.value.shape):
             raise ValueError(f"param {i}: shape mismatch")
         p.value[...] = value
-    model = HeadModel(
+    return HeadModel(
         config=cfg,
         in_channels=header["in_channels"],
         network=network,
@@ -459,7 +407,5 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         input_scale=np.array(header["input_scale"]),
         loss_trace=list(header.get("loss_trace", [])),
         holdout_accuracy=header.get("holdout_accuracy"),
+        class_labels=header.get("class_labels"),
     )
-    if header.get("class_labels") is not None:
-        model.class_labels = list(header["class_labels"])
-    return model

@@ -7,11 +7,13 @@ from scorealign.align import (
     ClassStats,
     DegenerateScaleWarning,
     ScoreMap,
-    apply_oracle_alignment,
+    align_maps,
+    class_scales,
     fit_class_stats,
     normalize_meanmax,
     normalize_meanstd,
     read_stats_csv,
+    scale_by_class,
     write_stats_csv,
 )
 from scorealign.metrics import auroc, average_precision
@@ -88,6 +90,11 @@ def _fitted_training_set(rng, class_id, loc, scale, n=30):
             for i in range(n)]
 
 
+def _oracle_align(maps, class_ids, stats, variant="meanmax"):
+    """Label-driven alignment: each map takes its labelled class's (u, gamma)."""
+    return align_maps(maps, scale_by_class(class_scales(stats, variant), class_ids.get))
+
+
 class TestOracleAlignment:
     def test_aligned_training_stats_are_canonical(self):
         """Refitting stats on aligned maps gives u ~ 0 and gamma ~ 1."""
@@ -99,7 +106,7 @@ class TestOracleAlignment:
         stats = fit_class_stats(maps_by_class)
         for cid, maps in maps_by_class.items():
             class_ids = {m.image_id: cid for m in maps}
-            aligned = apply_oracle_alignment(maps, class_ids, stats)
+            aligned = _oracle_align(maps, class_ids, stats)
             (new,) = fit_class_stats({cid: aligned})
             assert abs(new.u) < 1e-9
             assert abs(new.gamma - 1.0) < 1e-9
@@ -109,9 +116,9 @@ class TestOracleAlignment:
         maps = {0: _fitted_training_set(rng, 0, loc=2.0, scale=1.0)}
         stats = fit_class_stats(maps)
         class_ids = {m.image_id: 0 for m in maps[0]}
-        once = apply_oracle_alignment(maps[0], class_ids, stats)
+        once = _oracle_align(maps[0], class_ids, stats)
         canonical = fit_class_stats({0: once})
-        twice = apply_oracle_alignment(once, class_ids, canonical)
+        twice = _oracle_align(once, class_ids, canonical)
         for a, b in zip(once, twice):
             assert np.allclose(a.values, b.values, atol=1e-9)
 
@@ -121,7 +128,7 @@ class TestOracleAlignment:
         maps = [ScoreMap(f"m{i}", np.round(rng.normal(1.0, 0.5, size=(6, 6)), 1))
                 for i in range(20)]
         stats = fit_class_stats({0: maps})
-        aligned = apply_oracle_alignment(maps, {m.image_id: 0 for m in maps}, stats)
+        aligned = _oracle_align(maps, {m.image_id: 0 for m in maps}, stats)
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
         raw_scores = [float(np.max(m.values)) for m in maps]
@@ -139,28 +146,32 @@ class TestOracleAlignment:
         maps = [ScoreMap("a", np.ones(2))]
         stats = [ClassStats(0, 0.0, 1.0, 0.3, 1, 2)]
         with pytest.raises(KeyError, match="class 5"):
-            apply_oracle_alignment(maps, {"a": 5}, stats)
+            _oracle_align(maps, {"a": 5}, stats)
 
     def test_missing_label_rejected(self):
         maps = [ScoreMap("a", np.ones(2))]
         with pytest.raises(KeyError, match="no class label"):
-            apply_oracle_alignment(maps, {}, [ClassStats(0, 0.0, 1.0, 0.3, 1, 2)])
+            _oracle_align(maps, {}, [ClassStats(0, 0.0, 1.0, 0.3, 1, 2)])
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
-            apply_oracle_alignment([], {}, [], variant="zscore")
+            class_scales([], variant="zscore")
+
+    def test_meanstd_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            class_scales([ClassStats(0, 0.0, 1.0, -0.3, 1, 2)], variant="meanstd")
 
     def test_variants_differ_but_agree_on_composite(self):
         rng = np.random.default_rng(29)
         maps = {0: _fitted_training_set(rng, 0, loc=3.0, scale=1.0, n=10)}
         stats = fit_class_stats(maps)
         ids = {m.image_id: 0 for m in maps[0]}
-        mm = apply_oracle_alignment(maps[0], ids, stats, variant="meanmax")
-        ms = apply_oracle_alignment(maps[0], ids, stats, variant="meanstd")
+        mm = _oracle_align(maps[0], ids, stats, variant="meanmax")
+        ms = _oracle_align(maps[0], ids, stats, variant="meanstd")
         assert not np.array_equal(mm[0].values, ms[0].values)
         composite = [ClassStats(0, stats[0].u, stats[0].u + 3.0 * stats[0].sigma,
                                 stats[0].sigma, stats[0].n_images, stats[0].n_pixels)]
-        mm2 = apply_oracle_alignment(maps[0], ids, composite, variant="meanmax")
+        mm2 = _oracle_align(maps[0], ids, composite, variant="meanmax")
         for a, b in zip(ms, mm2):
             assert a.values.tobytes() == b.values.tobytes()
 

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from scorealign.align import ScoreMap, normalize_meanmax, read_stats_csv
 from scorealign.cli import main
+from scorealign.heads import load_checkpoint, predict_class, predict_stats
 from scorealign.tensorio import read_manifest, read_tensor
 
 GEN_ARGS = ["--k-classes", "3", "--grid-h", "8", "--grid-w", "8",
@@ -27,6 +29,9 @@ def pipeline(tmp_path_factory):
     assert main(["train-head", "--data", data, "--maps", maps, "--mode", "regressor",
                  "--out", str(root / "reg"), "--structure", "2lin",
                  "--hidden-dim", "16", "--iterations", "60"]) == 0
+    assert main(["train-head", "--data", data, "--maps", maps, "--mode", "regressor",
+                 "--target", "meanstd", "--out", str(root / "reg_meanstd"),
+                 "--structure", "2lin", "--hidden-dim", "16", "--iterations", "60"]) == 0
     assert main(["train-head", "--data", data, "--mode", "classifier",
                  "--out", str(root / "clf"), "--structure", "2lin",
                  "--hidden-dim", "16", "--iterations", "60"]) == 0
@@ -115,6 +120,61 @@ class TestPipeline:
         assert not np.array_equal(a, b)
 
 
+def _expected_scale(pipeline, mode, variant, entry, features):
+    """(u, gamma) each align mode should use for one image, computed directly
+    from the stats CSV, the manifest and the head predictions."""
+    if mode == "regressor":
+        model = load_checkpoint(pipeline / ("reg" if variant == "meanmax" else "reg_meanstd"))
+        u, second = predict_stats(model, features)
+        return (u, second) if variant == "meanmax" else (u, u + 3.0 * max(second, 0.0))
+    if mode == "oracle":
+        cid = entry.class_id
+    else:
+        cid = predict_class(load_checkpoint(pipeline / "clf"), features)
+    (st,) = [s for s in read_stats_csv(pipeline / "stats.csv") if s.class_id == cid]
+    return (st.u, st.gamma) if variant == "meanmax" else (st.u, st.u + 3.0 * st.sigma)
+
+
+class TestAlignSources:
+    @pytest.mark.parametrize("variant", ["meanmax", "meanstd"])
+    @pytest.mark.parametrize("mode", ["oracle", "classifier", "regressor"])
+    def test_each_map_is_meanmax_of_its_source_scale(self, pipeline, mode, variant):
+        """Every mode is one normalization; only the (u, gamma) source differs.
+        A regressor head carries its variant as its training --target."""
+        out = pipeline / f"aligned_src_{mode}_{variant}"
+        extra = {"oracle": ["--stats", str(pipeline / "stats.csv"), "--variant", variant],
+                 "classifier": ["--stats", str(pipeline / "stats.csv"), "--variant", variant,
+                                "--model", str(pipeline / "clf")],
+                 "regressor": ["--model", str(pipeline / ("reg" if variant == "meanmax"
+                                                          else "reg_meanstd"))]}[mode]
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(out),
+                     "--mode", mode] + extra) == 0
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        for e in man.split("test"):
+            features = read_tensor(man.resolve(e.feature_path))
+            u, gamma = _expected_scale(pipeline, mode, variant, e, features)
+            raw = ScoreMap(e.image_id, read_tensor(pipeline / "maps" / f"{e.image_id}.adt"))
+            expected = normalize_meanmax(raw, u, gamma).values
+            assert read_tensor(out / f"{e.image_id}.adt").tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("oracle", []),
+        ("classifier", ["--model", "{root}/clf"]),
+    ])
+    def test_negative_sigma_in_stats_is_data_error(self, pipeline, tmp_path, mode, extra):
+        lines = (pipeline / "stats.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "-0.5"  # sigma of the first class
+        bad = tmp_path / "stats.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        extra = [a.format(root=pipeline) for a in extra]
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "out"),
+                     "--mode", mode, "--stats", str(bad), "--variant", "meanstd"]
+                    + extra) == 2
+
+
 class TestDeterminism:
     def test_gen_twice_byte_identical(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "a")] + GEN_ARGS) == 0
@@ -151,6 +211,13 @@ class TestExitCodes:
                      "--out", str(pipeline / "nope"), "--mode", "regressor",
                      "--model", str(pipeline / "never_trained")]) == 2
         assert "head.json" in capsys.readouterr().err
+
+    def test_report_rejects_non_metrics_csv(self, pipeline, tmp_path, capsys):
+        assert main(["report", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "report"),
+                     "--metrics", str(pipeline / "stats.csv")]) == 2
+        assert "header" in capsys.readouterr().err
+        assert not (tmp_path / "report" / "metrics_combined.csv").exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["fit-base", "--data", str(tmp_path / "void"),

@@ -2,20 +2,26 @@ import numpy as np
 import pytest
 
 from scorealign import net
-from scorealign.align import ClassStats, DegenerateScaleWarning, ScoreMap, normalize_meanstd
+from scorealign.align import (
+    ClassStats,
+    DegenerateScaleWarning,
+    ScoreMap,
+    align_maps,
+    class_scales,
+    normalize_meanstd,
+    scale_by_class,
+)
 from scorealign.heads import (
     STRUCTURES,
     HeadConfig,
     HeadModel,
     TrainConfig,
     build_head,
-    calibrate,
-    calibrate_with_classifier,
-    calibrate_with_regressor,
     compute_image_stats,
     load_checkpoint,
     predict_class,
     predict_stats,
+    predicted_scale,
     save_checkpoint,
     train_classifier,
     train_regressor,
@@ -50,14 +56,12 @@ def _const_model(mode, out_vals, in_channels=DIM, target="meanmax", class_labels
     final = network.layers[-1]
     final.w.value[...] = 0.0
     final.b.value[...] = out_vals
-    model = HeadModel(
+    return HeadModel(
         config=cfg, in_channels=in_channels, network=network, seed=0,
         target_offset=np.zeros(out_dim), target_scale=np.ones(out_dim),
         input_offset=np.zeros(in_channels), input_scale=np.ones(in_channels),
+        class_labels=class_labels,
     )
-    if class_labels is not None:
-        model.class_labels = class_labels
-    return model
 
 
 class TestImageStats:
@@ -249,27 +253,41 @@ class TestClassifier:
         assert predict_class(model, np.zeros((DIM, *GRID), dtype=np.float32)) == 2
 
 
+def _align_one(smap, scale_of):
+    (out,) = align_maps([smap], scale_of)
+    return out
+
+
+def _regressor_scale_of(model, features):
+    return lambda image_id: predicted_scale(model, features)
+
+
+def _classifier_scale_of(model, stats, features):
+    return scale_by_class(class_scales(stats),
+                          lambda image_id: predict_class(model, features))
+
+
 class TestCalibrate:
     def test_identity_stats(self):
-        m = calibrate(ScoreMap("a", np.array([0.1, 0.7])), 0.0, 1.0)
+        m = _align_one(ScoreMap("a", np.array([0.1, 0.7])), lambda _: (0.0, 1.0))
         assert np.array_equal(m.values, [0.1, 0.7])
 
     def test_worked_example(self):
-        m = calibrate(ScoreMap("a", np.array([0.2, 0.4, 0.6])), 0.2, 0.6)
+        m = _align_one(ScoreMap("a", np.array([0.2, 0.4, 0.6])), lambda _: (0.2, 0.6))
         assert np.allclose(m.values, [0.0, 0.5, 1.0])
 
     def test_regressor_calibration_matches_predicted_stats(self):
         model = _const_model("regressor", [1.0, 3.0])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         smap = ScoreMap("a", np.full(GRID, 2.0))
-        out = calibrate_with_regressor(model, smap, f)
+        out = _align_one(smap, _regressor_scale_of(model, f))
         assert np.allclose(out.values, (2.0 - 1.0) / (3.0 - 1.0))
 
     def test_meanstd_regressor_uses_sigma(self):
         model = _const_model("regressor", [1.0, 0.5], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         smap = ScoreMap("a", np.full(GRID, 2.5))
-        out = calibrate_with_regressor(model, smap, f)
+        out = _align_one(smap, _regressor_scale_of(model, f))
         ref = normalize_meanstd(smap, 1.0, 0.5)
         assert out.values.tobytes() == ref.values.tobytes()
 
@@ -277,21 +295,22 @@ class TestCalibrate:
         model = _const_model("regressor", [1.0, -2.0], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.warns(DegenerateScaleWarning):
-            calibrate_with_regressor(model, ScoreMap("a", np.full(GRID, 2.0)), f)
+            _align_one(ScoreMap("a", np.full(GRID, 2.0)), _regressor_scale_of(model, f))
 
     def test_classifier_calibration_selects_class_stats(self):
         model = _const_model("classifier", [0.0, 5.0], class_labels=[0, 1])
         stats = [ClassStats(0, 0.0, 1.0, 0.3, 1, 4),
                  ClassStats(1, 10.0, 20.0, 3.0, 1, 4)]
         f = np.zeros((DIM, *GRID), dtype=np.float32)
-        out = calibrate_with_classifier(model, stats, ScoreMap("a", np.full(GRID, 15.0)), f)
+        out = _align_one(ScoreMap("a", np.full(GRID, 15.0)),
+                         _classifier_scale_of(model, stats, f))
         assert np.allclose(out.values, 0.5)  # (15-10)/(20-10): class-1 stats
 
     def test_classifier_missing_stats_rejected(self):
         model = _const_model("classifier", [5.0, 0.0], class_labels=[3, 4])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.raises(KeyError, match="class 3"):
-            calibrate_with_classifier(model, [], ScoreMap("a", np.ones(2)), f)
+            _align_one(ScoreMap("a", np.ones(2)), _classifier_scale_of(model, [], f))
 
 
 class TestCheckpoint:

@@ -106,10 +106,14 @@ def _synth_config_from_args(args) -> synth.SynthConfig:
 def cmd_gen(args) -> int:
     if args.config:
         with open(args.config) as f:
-            cfg = synth.SynthConfig(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in json.load(f).items()
-            })
+            raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of SynthConfig fields")
+        unknown = sorted(set(raw) - {f.name for f in fields(synth.SynthConfig)})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown SynthConfig keys {unknown}")
+        cfg = synth.SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in raw.items()})
     else:
         cfg = _synth_config_from_args(args)
     out_dir = Path(args.out)

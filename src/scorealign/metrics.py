@@ -1,10 +1,14 @@
 """Exact image- and pixel-level detection metrics.
 
 AUROC uses the tie-aware rank formulation (half credit for ties), AP the
-step-wise precision-recall sum with ties grouped at one threshold. Both
+step-wise precision-recall sum with ties grouped at one threshold. Both are
+computed from one sort of all scores: for each distinct score some positive
+holds, two binary searches count the scores below and at or below it. The
+AUROC rank sum is then an exact integer sum; AP walks the positive
+thresholds from the highest down and adds its terms in sequence. Both
 depend only on the ordering of the scores, so any strictly increasing
-transform of all scores leaves them bitwise unchanged. All accumulation
-is done in float64 regardless of the input dtype.
+transform of all scores leaves them bitwise unchanged. Labels must be 0 or
+1; scores are converted to float64 regardless of the input dtype.
 """
 
 from __future__ import annotations
@@ -23,28 +27,26 @@ class UndefinedMetricError(ValueError):
 
 
 def _as_score_label_arrays(scores, labels):
+    """float64 scores and a boolean positive mask; labels must be 0 or 1."""
     s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel().astype(np.int64)
+    y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError(f"scores and labels differ in length: {s.shape} vs {y.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite score")
-    return s, y
+    pos = y == 1
+    if not np.all(pos | (y == 0)):
+        raise ValueError("labels must be 0 or 1")
+    return s, pos
 
 
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group's average rank."""
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _positive_groups(s: np.ndarray, pos: np.ndarray):
+    """For each distinct score some positive holds, in ascending order, three
+    int arrays: the positives at that score, the scores strictly below it,
+    and the scores at or below it."""
+    t, count = np.unique(s[pos], return_counts=True)
+    sorted_s = np.sort(s)
+    return count, np.searchsorted(sorted_s, t, "left"), np.searchsorted(sorted_s, t, "right")
 
 
 def auroc(scores, labels) -> float:
@@ -52,45 +54,35 @@ def auroc(scores, labels) -> float:
 
     Raises UndefinedMetricError unless both classes are present.
     """
-    s, y = _as_score_label_arrays(scores, labels)
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    s, pos = _as_score_label_arrays(scores, labels)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"auroc needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    ranks = _average_ranks(s)
-    rank_sum = float(np.sum(ranks[y == 1]))
+    count, below, upto = _positive_groups(s, pos)
+    # a tie group at 0-based sorted positions below..upto-1 has the average
+    # 1-based rank (below + upto + 1) / 2; the integer sum is exact
+    rank_sum = 0.5 * int(np.sum(count * (below + upto + 1)))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def average_precision(scores, labels) -> float:
     """Step-wise AP: sum of (R_k - R_{k-1}) * P_k over descending unique thresholds."""
-    s, y = _as_score_label_arrays(scores, labels)
-    n_pos = int(np.sum(y == 1))
+    s, pos = _as_score_label_arrays(scores, labels)
+    n_pos = int(np.count_nonzero(pos))
     if n_pos == 0:
         raise UndefinedMetricError("average_precision needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(s_sorted)
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(np.sum(y_sorted[i : j + 1]))
-        seen += j + 1 - i
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    count, below, _ = _positive_groups(s, pos)
+    # a threshold no positive holds adds R_k - R_{k-1} = 0 exactly, so only
+    # the positive thresholds contribute, from the highest down
+    tp = np.cumsum(count[::-1])
+    recall = tp / n_pos
+    precision = tp / (s.size - below[::-1])
+    terms = np.diff(recall, prepend=0.0) * precision
+    # cumsum adds in sequence; np.sum's pairwise order moves the last bit
+    return float(np.cumsum(terms)[-1])
 
 
 def image_score(values: np.ndarray, top_fraction=0.01) -> float:
@@ -154,13 +146,13 @@ def _pool_metrics(scope, entries, score_maps, masks, top_fraction) -> MetricsRep
                         f"{np.asarray(values).shape}"
                     )
                 pix_scores.append(flat)
-                pix_labels.append((mask.ravel() > 0).astype(np.int64))
+                pix_labels.append(mask.ravel() > 0)
                 n_pixels += flat.size
             # anomalous without pixel ground truth: image metrics only
         else:
             # normal test image: implicit all-zero mask
             pix_scores.append(flat)
-            pix_labels.append(np.zeros(flat.size, dtype=np.int64))
+            pix_labels.append(np.zeros(flat.size, dtype=bool))
             n_pixels += flat.size
 
     i_auroc = auroc(img_scores, img_labels)
@@ -169,7 +161,7 @@ def _pool_metrics(scope, entries, score_maps, masks, top_fraction) -> MetricsRep
     if pix_scores:
         ps = np.concatenate(pix_scores)
         pl = np.concatenate(pix_labels)
-        if pl.max(initial=0) == 1 and pl.min(initial=1) == 0:
+        if pl.any() and not pl.all():
             p_auroc = auroc(ps, pl)
             p_ap = average_precision(ps, pl)
     return MetricsReport(scope, i_auroc, i_ap, p_auroc, p_ap, len(entries), n_pixels)

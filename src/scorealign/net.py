@@ -143,8 +143,8 @@ class ReLU(Layer):
 class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval.
 
-    'frozen' mode reuses the last mask set by freeze_mask (gradient
-    checking needs the same mask on every forward).
+    'frozen' mode reuses the mask left by the last train-mode forward
+    (gradient checking needs the same mask on every forward).
     """
 
     def __init__(self, rate):
@@ -152,9 +152,6 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.mask = None
-
-    def freeze_mask(self, shape, rng):
-        self.mask = rng.random(shape) >= self.rate
 
     def forward(self, x, mode="eval", rng=None):
         if mode == "eval" or self.rate == 0.0:

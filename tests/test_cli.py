@@ -219,6 +219,17 @@ class TestExitCodes:
         assert "header" in capsys.readouterr().err
         assert not (tmp_path / "report" / "metrics_combined.csv").exists()
 
+    @pytest.mark.parametrize("config,message", [
+        ({"k_classes": 3, "bogus": 1}, "bogus"),
+        ([3], "JSON object"),
+    ])
+    def test_gen_config_with_bad_fields_is_data_error(self, tmp_path, capsys, config, message):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["fit-base", "--data", str(tmp_path / "void"),
                      "--out", str(tmp_path / "out")]) == 2

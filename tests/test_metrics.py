@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scorealign.metrics import (
     MetricsReport,
@@ -104,6 +106,56 @@ class TestAveragePrecision:
             if y.max() == 0:
                 y[0] = 1
             assert average_precision(s, y) == pytest.approx(ap_brute_force(s, y), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", [auroc, average_precision])
+@pytest.mark.parametrize("labels", [[1, 2, 0], [1, -1, 0], [1, 0.5, 0]])
+def test_labels_outside_zero_one_rejected(metric, labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        metric([0.9, 0.5, 0.1], labels)
+
+
+@st.composite
+def tied_levels(draw):
+    """(level index per sample, labels, number of levels); fewer levels than samples force ties."""
+    n = draw(st.integers(2, 80))
+    n_levels = draw(st.integers(1, 40))
+    idx = draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(idx), np.array(y), n_levels
+
+
+def distinct_sorted(n, dtype=np.float64):
+    width = np.finfo(dtype).bits
+    return st.lists(st.floats(-1e6, 1e6, width=width), min_size=n, max_size=n,
+                    unique=True).map(lambda v: np.array(sorted(v), dtype=dtype))
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+class TestOracleProperties:
+    @PROPERTY_SETTINGS
+    @given(tied_levels(), st.data())
+    def test_exactly_equal_to_oracles(self, case, data):
+        idx, y, n_levels = case
+        assume(y.max() == 1)
+        s = data.draw(distinct_sorted(n_levels))[idx]
+        assert average_precision(s, y) == ap_brute_force(s, y)
+        if y.min() == 0:
+            assert auroc(s, y) == auroc_pair_counting(s, y)
+
+    @PROPERTY_SETTINGS
+    @given(tied_levels(), st.data())
+    def test_strictly_increasing_transform_bitwise(self, case, data):
+        # the same ranks under two unrelated strictly increasing score sets
+        idx, y, n_levels = case
+        assume(y.max() == 1)
+        a = data.draw(distinct_sorted(n_levels))[idx]
+        b = data.draw(distinct_sorted(n_levels, np.float32))[idx]
+        assert average_precision(a, y) == average_precision(b, y)
+        if y.min() == 0:
+            assert auroc(a, y) == auroc(b, y)
 
 
 class TestRankInvariance:

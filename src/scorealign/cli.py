@@ -86,8 +86,8 @@ _SYNTH_PAIRS = {
     "spread_range": ("spread_min", "spread_max"),
     "anomaly_area_range": ("area_min", "area_max"),
 }
-# the TrainConfig fields train-head exposes as flags of the same name
-_TRAIN_FLAGS = ("lr", "momentum", "weight_decay", "batch_size", "iterations", "seed")
+# HeadConfig field -> the train-head flag (dest) that sets it, where the names differ
+_HEAD_FLAGS = {"dropout_rate": "dropout"}
 
 
 def _add_field_flag(p, dest: str, default) -> None:
@@ -170,35 +170,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _head_config_from_args(args, mode: str, out_dim: int) -> heads.HeadConfig:
-    n_conv, n_linear = heads.STRUCTURES[args.structure]
-    return heads.HeadConfig(
-        mode=mode,
-        n_conv=n_conv,
-        n_linear=n_linear,
-        hidden_dim=args.hidden_dim,
-        dropout_rate=args.dropout,
-        activation=args.activation,
-        target=args.target,
-        alpha=args.alpha,
-        out_dim=out_dim,
-    )
-
-
 def cmd_train_head(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     features = _load_features(manifest, "train")
-    train_cfg = heads.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
+    head_cfg = heads.HeadConfig(**{f.name: getattr(args, _HEAD_FLAGS.get(f.name, f.name))
+                                   for f in fields(heads.HeadConfig)})
+    train_cfg = heads.TrainConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(heads.TrainConfig)})
     if args.mode == "regressor":
         maps = _load_maps(manifest, Path(args.maps), "train")
-        head_cfg = _head_config_from_args(args, "regressor", 2)
         model = heads.train_regressor(features, maps, head_cfg, train_cfg)
     else:
         class_ids = {e.image_id: e.class_id for e in manifest.split("train")}
         if any(c is None for c in class_ids.values()):
             raise ManifestError("train-head --mode classifier needs class_ids")
-        k = len(set(class_ids.values()))
-        head_cfg = _head_config_from_args(args, "classifier", k)
         model = heads.train_classifier(features, class_ids, head_cfg, train_cfg)
     out_dir = Path(args.out)
     heads.save_checkpoint(model, out_dir)
@@ -322,13 +307,10 @@ def cmd_grad_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     in_channels, h, w = args.channels, args.grid, args.grid
     worst = 0.0
-    for name, (n_conv, n_linear) in heads.STRUCTURES.items():
-        cfg = heads.HeadConfig(
-            mode="regressor", n_conv=n_conv, n_linear=n_linear,
-            hidden_dim=args.hidden_dim, dropout_rate=args.dropout,
-            activation=args.activation,
-        )
-        network = heads.build_head(cfg, in_channels, rng)
+    for name in heads.STRUCTURES:
+        cfg = heads.HeadConfig(structure=name, hidden_dim=args.hidden_dim,
+                               dropout_rate=args.dropout, activation=args.activation)
+        network = heads.build_head(cfg, in_channels, 2, rng)
         x = rng.normal(size=(1, in_channels, h, w))
         target = rng.normal(size=(1, 2))
 
@@ -366,9 +348,8 @@ def cmd_ablate(args) -> int:
     rows = []
     for structure in heads.STRUCTURES:
         for dropout in ABLATION_DROPOUTS:
-            n_conv, n_linear = heads.STRUCTURES[structure]
-            head_cfg = heads.HeadConfig(n_conv=n_conv, n_linear=n_linear,
-                                        hidden_dim=args.hidden_dim, dropout_rate=dropout)
+            head_cfg = heads.HeadConfig(structure=structure, hidden_dim=args.hidden_dim,
+                                        dropout_rate=dropout)
             train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
             model = heads.train_regressor(features, train_maps, head_cfg, train_cfg)
             aligned = {
@@ -432,17 +413,16 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--maps", help="score maps dir (required for regressor)")
     head = heads.HeadConfig
-    p.add_argument("--mode", choices=("regressor", "classifier"), default=head.mode)
+    p.add_argument("--mode", choices=("regressor", "classifier"), default="regressor")
     p.add_argument("--out", required=True)
-    structure = {v: k for k, v in heads.STRUCTURES.items()}[(head.n_conv, head.n_linear)]
-    p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default=structure)
+    p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default=head.structure)
     p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
     p.add_argument("--dropout", type=float, default=head.dropout_rate)
     p.add_argument("--activation", choices=("gelu", "relu"), default=head.activation)
     p.add_argument("--target", choices=("meanmax", "meanstd"), default=head.target)
     p.add_argument("--alpha", type=float, default=head.alpha)
-    for name in _TRAIN_FLAGS:
-        _add_field_flag(p, name, getattr(heads.TrainConfig, name))
+    for f in fields(heads.TrainConfig):
+        _add_field_flag(p, f.name, f.default)
     p.set_defaults(func=cmd_train_head)
 
     p = sub.add_parser("align", help="calibrate score maps")

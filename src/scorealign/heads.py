@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -28,6 +28,7 @@ from . import net
 from .align import meanstd_gamma
 from .tensorio import read_tensor, write_tensor
 
+# head structure name -> (3x3 conv layers, linear layers)
 STRUCTURES = {
     "1lin": (0, 1),
     "2lin": (0, 2),
@@ -55,27 +56,17 @@ def compute_image_stats(values: np.ndarray) -> ImageStats:
 
 @dataclass
 class HeadConfig:
-    mode: str = "regressor"          # "regressor" | "classifier"
-    n_conv: int = 1
-    n_linear: int = 2
+    structure: str = "1conv+2lin"    # a STRUCTURES name
     hidden_dim: int = 256
     dropout_rate: float = 0.25
     activation: str = "gelu"         # "gelu" | "relu"
     target: str = "meanmax"          # "meanmax" | "meanstd" (regressor only)
     alpha: float = 0.1               # smooth-L1 threshold, normalized target space
-    out_dim: int = 2                 # 2 for regressor, k for classifier
 
     def validate(self):
-        if self.mode not in ("regressor", "classifier"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "regressor" and self.out_dim != 2:
-            raise ValueError("regressor head must have out_dim 2")
-        if self.mode == "classifier" and self.out_dim < 2:
-            raise ValueError("classifier head needs out_dim >= 2 (k=1 is degenerate)")
-        if self.n_conv not in (0, 1, 2):
-            raise ValueError(f"n_conv must be 0, 1, or 2, got {self.n_conv}")
-        if self.n_linear not in (1, 2, 3):
-            raise ValueError(f"n_linear must be 1, 2, or 3, got {self.n_linear}")
+        if self.structure not in STRUCTURES:
+            raise ValueError(f"unknown structure {self.structure!r}, "
+                             f"expected one of {sorted(STRUCTURES)}")
         if self.activation not in ("gelu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.target not in ("meanmax", "meanstd"):
@@ -92,28 +83,33 @@ class TrainConfig:
     batch_size: int = 16
     iterations: int = 5000
     seed: int = 0
-    # global gradient-norm clip; the fixed lr/momentum overshoots on
-    # low-dimensional inputs without it. 0 disables.
-    grad_clip: float = 1.0
-    # fraction of final iterations whose parameters are averaged into the
-    # returned model; suppresses the constant-lr SGD noise floor. 0 disables.
-    avg_frac: float = 0.25
 
 
-def _clip_gradients(params, max_norm: float) -> None:
-    if max_norm <= 0:
-        return
+# global gradient-norm clip; the fixed lr/momentum overshoots on
+# low-dimensional inputs without it
+GRAD_CLIP = 1.0
+# fraction of final iterations whose parameters are averaged into the
+# returned model; suppresses the constant-lr SGD noise floor
+AVG_FRAC = 0.25
+# every HOLDOUT_EVERY-th classifier training image (in sorted id order) is
+# held out and the trained head's accuracy on them recorded
+HOLDOUT_EVERY = 10
+
+
+def _clip_gradients(params) -> None:
     total = math.sqrt(sum(float(np.sum(p.grad**2)) for p in params))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > GRAD_CLIP:
+        scale = GRAD_CLIP / total
         for p in params:
             p.grad *= scale
 
 
-def build_head(cfg: HeadConfig, in_channels: int, rng) -> net.Network:
-    """Assemble the layer stack: n_conv 3x3 convs (channel-preserving, each
-    followed by the activation), global average pooling, then n_linear
-    linears with dropout before every linear.
+def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Network:
+    """Assemble the layer stack of the cfg.structure: its 3x3 convs
+    (channel-preserving, each followed by the activation), global average
+    pooling, then its linears with dropout before every linear; the last
+    linear has out_dim outputs (2 for a regressor, one per class for a
+    classifier).
 
     The first linear's dropout sits ahead of the pooling so the injected
     noise is spatial (random grid locations zeroed, mimicking local
@@ -121,17 +117,18 @@ def build_head(cfg: HeadConfig, in_channels: int, rng) -> net.Network:
     destroy the class signature instead of perturbing it.
     """
     cfg.validate()
+    n_conv, n_linear = STRUCTURES[cfg.structure]
     act = net.GELU if cfg.activation == "gelu" else net.ReLU
     layers: list[net.Layer] = []
-    for _ in range(cfg.n_conv):
+    for _ in range(n_conv):
         layers.append(net.Conv3x3(in_channels, in_channels, rng))
         layers.append(act())
     layers.append(net.Dropout(cfg.dropout_rate))
     layers.append(net.GlobalAvgPool())
     dim = in_channels
-    for i in range(cfg.n_linear):
-        last = i == cfg.n_linear - 1
-        out = cfg.out_dim if last else cfg.hidden_dim
+    for i in range(n_linear):
+        last = i == n_linear - 1
+        out = out_dim if last else cfg.hidden_dim
         if i > 0:
             layers.append(net.Dropout(cfg.dropout_rate))
         layers.append(net.Linear(dim, out, rng))
@@ -155,7 +152,7 @@ class HeadModel:
     input_scale: np.ndarray = None
     loss_trace: list = field(default_factory=list)
     holdout_accuracy: Optional[float] = None
-    # classifier output index -> class id (None for a regressor)
+    # classifier output index -> class id; None exactly for a regressor
     class_labels: Optional[list] = None
 
 
@@ -191,6 +188,7 @@ def _fit(
     ids: Sequence[str],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
+    out_dim: int,
     batch_loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
     **model_fields,
 ) -> HeadModel:
@@ -200,15 +198,15 @@ def _fit(
     in_channels = int(np.asarray(features[ids[0]]).shape[0])
     in_offset, in_scale = _fit_input_norm(features, ids)
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
-    network = build_head(head_cfg, in_channels, rng)
+    network = build_head(head_cfg, in_channels, out_dim, rng)
     optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
 
     model = HeadModel(config=head_cfg, in_channels=in_channels, network=network,
                       seed=train_cfg.seed, input_offset=in_offset, input_scale=in_scale,
                       **model_fields)
     params = network.parameters()
-    iterations, avg_frac = train_cfg.iterations, train_cfg.avg_frac
-    tail_start = iterations - int(avg_frac * iterations) if avg_frac > 0 else iterations
+    iterations = train_cfg.iterations
+    tail_start = iterations - int(AVG_FRAC * iterations)
     tail_sums, tail_count = None, 0  # running parameter sums from tail_start on
     for it in range(iterations):
         idx = rng.integers(0, len(ids), size=train_cfg.batch_size)
@@ -218,7 +216,7 @@ def _fit(
         if not np.isfinite(loss):
             raise net.NumericalError(f"non-finite loss at iteration {it}")
         network.backward(grad / train_cfg.batch_size)
-        _clip_gradients(params, train_cfg.grad_clip)
+        _clip_gradients(params)
         optim.step(params)
         if it >= tail_start:
             if tail_sums is None:
@@ -246,8 +244,6 @@ def train_regressor(
     throughout training as the pseudo-anomaly noise source.
     """
     head_cfg.validate()
-    if head_cfg.mode != "regressor":
-        raise ValueError("train_regressor needs a regressor-mode config")
     ids = sorted(features)
     if not ids:
         raise ValueError("empty training set")
@@ -267,7 +263,7 @@ def train_regressor(
         loss_elems, grad = net.smooth_l1(out, targets_n[idx], head_cfg.alpha)
         return float(loss_elems.sum(axis=1).mean()), grad
 
-    return _fit(features, ids, head_cfg, train_cfg, batch_loss,
+    return _fit(features, ids, head_cfg, train_cfg, 2, batch_loss,
                 target_offset=t_offset, target_scale=t_scale)
 
 
@@ -276,16 +272,13 @@ def train_classifier(
     class_ids: Mapping[str, int],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
-    holdout_every: int = 10,
 ) -> HeadModel:
     """Train the k-way class head with cross-entropy.
 
-    Every `holdout_every`-th image (in sorted id order) is held out and
+    Every HOLDOUT_EVERY-th image (in sorted id order) is held out and
     its post-training accuracy recorded on the model.
     """
     head_cfg.validate()
-    if head_cfg.mode != "classifier":
-        raise ValueError("train_classifier needs a classifier-mode config")
     ids = sorted(features)
     if not ids:
         raise ValueError("empty training set")
@@ -296,26 +289,24 @@ def train_classifier(
     if len(classes) < 2:
         raise ValueError("classification needs at least 2 classes")
     class_index = {c: i for i, c in enumerate(classes)}
-    if head_cfg.out_dim != len(classes):
-        raise ValueError(f"out_dim {head_cfg.out_dim} != number of classes {len(classes)}")
 
-    holdout = ids[::holdout_every] if holdout_every else []
-    train_ids = [i for i in ids if i not in set(holdout)] or ids
+    # at least 2 ids (2 classes), so both the holdout and the rest are non-empty
+    holdout = ids[::HOLDOUT_EVERY]
+    held = set(holdout)
+    train_ids = [i for i in ids if i not in held]
     labels = np.array([class_index[class_ids[i]] for i in train_ids])
 
     def batch_loss(out, idx):
         loss_elems, grad = net.cross_entropy(out, labels[idx])
         return float(loss_elems.mean()), grad
 
-    model = _fit(features, train_ids, head_cfg, train_cfg, batch_loss,
-                 target_offset=np.zeros(head_cfg.out_dim),
-                 target_scale=np.ones(head_cfg.out_dim),
-                 class_labels=classes)
-    if holdout:
-        x = _stack_features(features, holdout, model.input_offset, model.input_scale)
-        pred = np.argmax(model.network.forward(x, mode="eval"), axis=1)
-        truth = np.array([class_index[class_ids[i]] for i in holdout])
-        model.holdout_accuracy = float(np.mean(pred == truth))
+    k = len(classes)
+    model = _fit(features, train_ids, head_cfg, train_cfg, k, batch_loss,
+                 target_offset=np.zeros(k), target_scale=np.ones(k), class_labels=classes)
+    x = _stack_features(features, holdout, model.input_offset, model.input_scale)
+    pred = np.argmax(model.network.forward(x, mode="eval"), axis=1)
+    truth = np.array([class_index[class_ids[i]] for i in holdout])
+    model.holdout_accuracy = float(np.mean(pred == truth))
     return model
 
 
@@ -324,8 +315,8 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
 
     Deterministic: dropout is identity in eval mode.
     """
-    if model.config.mode != "regressor":
-        raise ValueError("predict_stats needs a regressor-mode model")
+    if model.class_labels is not None:
+        raise ValueError("predict_stats needs a regressor model, got a classifier")
     x = _stack_features({"_": features}, ["_"], model.input_offset, model.input_scale)
     out = model.network.forward(x, mode="eval")[0]
     out = out * model.target_scale + model.target_offset
@@ -334,12 +325,12 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
 
 def predict_class(model: HeadModel, features: np.ndarray) -> int:
     """Argmax class for one image; ties break toward the lowest class id."""
-    if model.config.mode != "classifier":
-        raise ValueError("predict_class needs a classifier-mode model")
+    if model.class_labels is None:
+        raise ValueError("predict_class needs a classifier model, got a regressor")
     x = _stack_features({"_": features}, ["_"], model.input_offset, model.input_scale)
     logits = model.network.forward(x, mode="eval")[0]
-    idx = int(np.argmax(logits))  # np.argmax returns the first (lowest) index on ties
-    return model.class_labels[idx] if model.class_labels is not None else idx
+    # np.argmax returns the first (lowest) index on ties
+    return model.class_labels[int(np.argmax(logits))]
 
 
 def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
@@ -385,9 +376,17 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
     ckpt_dir = Path(ckpt_dir)
     with open(ckpt_dir / "head.json") as f:
         header = json.load(f)
-    cfg = HeadConfig(**header["config"])
+    config = header["config"]
+    keys = set(config) if isinstance(config, dict) else set()
+    names = {f.name for f in fields(HeadConfig)}
+    if keys != names:
+        raise ValueError(f"{ckpt_dir / 'head.json'}: config has unknown keys "
+                         f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
+    cfg = HeadConfig(**config)
+    class_labels = header.get("class_labels")
+    out_dim = 2 if class_labels is None else len(class_labels)
     rng = np.random.default_rng(0)  # params are overwritten below
-    network = build_head(cfg, header["in_channels"], rng)
+    network = build_head(cfg, header["in_channels"], out_dim, rng)
     params = network.parameters()
     if len(params) != header["n_params"]:
         raise ValueError("checkpoint parameter count mismatch")
@@ -407,5 +406,5 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         input_scale=np.array(header["input_scale"]),
         loss_trace=list(header.get("loss_trace", [])),
         holdout_accuracy=header.get("holdout_accuracy"),
-        class_labels=header.get("class_labels"),
+        class_labels=class_labels,
     )

@@ -126,45 +126,43 @@ class MetricsReport:
         )
 
 
-def _pool_metrics(scope, entries, score_maps, masks, top_fraction) -> MetricsReport:
-    img_scores = []
-    img_labels = []
-    pix_scores = []
-    pix_labels = []
-    n_pixels = 0
-    for e in entries:
-        values = score_maps[e.image_id]
-        img_scores.append(image_score(values, top_fraction))
-        img_labels.append(1 if e.label == "anomalous" else 0)
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        if e.label == "anomalous":
-            if e.image_id in masks:
-                mask = np.asarray(masks[e.image_id])
-                if mask.shape != np.asarray(values).shape:
-                    raise ValueError(
-                        f"{e.image_id}: mask shape {mask.shape} != map shape "
-                        f"{np.asarray(values).shape}"
-                    )
-                pix_scores.append(flat)
-                pix_labels.append(mask.ravel() > 0)
-                n_pixels += flat.size
-            # anomalous without pixel ground truth: image metrics only
-        else:
-            # normal test image: implicit all-zero mask
-            pix_scores.append(flat)
-            pix_labels.append(np.zeros(flat.size, dtype=bool))
-            n_pixels += flat.size
+def _image_row(e, values, masks, top_fraction):
+    """One test image's (image score, 0/1 label, flat pixel scores, pixel
+    labels); the pixel entries are None for an anomalous image without a mask."""
+    score = image_score(values, top_fraction)
+    anomalous = e.label == "anomalous"
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if not anomalous:
+        # normal test image: implicit all-zero mask
+        pixel_labels = np.zeros(flat.size, dtype=bool)
+    elif e.image_id in masks:
+        mask = np.asarray(masks[e.image_id])
+        if mask.shape != np.shape(values):
+            raise ValueError(f"{e.image_id}: mask shape {mask.shape} != map shape "
+                             f"{np.shape(values)}")
+        pixel_labels = mask.ravel() > 0
+    else:
+        # anomalous without pixel ground truth: image metrics only
+        flat = pixel_labels = None
+    return score, int(anomalous), flat, pixel_labels
+
+
+def _pool_metrics(scope, rows) -> MetricsReport:
+    img_scores = [r[0] for r in rows]
+    img_labels = [r[1] for r in rows]
+    pixels = [r[2:] for r in rows if r[2] is not None]
+    n_pixels = sum(flat.size for flat, _ in pixels)
 
     i_auroc = auroc(img_scores, img_labels)
     i_ap = average_precision(img_scores, img_labels)
     p_auroc = p_ap = None
-    if pix_scores:
-        ps = np.concatenate(pix_scores)
-        pl = np.concatenate(pix_labels)
+    if pixels:
+        ps = np.concatenate([flat for flat, _ in pixels])
+        pl = np.concatenate([labels for _, labels in pixels])
         if pl.any() and not pl.all():
             p_auroc = auroc(ps, pl)
             p_ap = average_precision(ps, pl)
-    return MetricsReport(scope, i_auroc, i_ap, p_auroc, p_ap, len(entries), n_pixels)
+    return MetricsReport(scope, i_auroc, i_ap, p_auroc, p_ap, len(rows), n_pixels)
 
 
 def evaluate(
@@ -188,15 +186,16 @@ def evaluate(
     if missing:
         raise ValueError(f"missing score maps for {missing[:5]} (+{max(0, len(missing)-5)} more)")
 
-    reports = [_pool_metrics("mixed", entries, score_maps, masks, top_fraction)]
+    # each image is scored once; the mixed and per-class pools select its row
+    rows = [_image_row(e, score_maps[e.image_id], masks, top_fraction) for e in entries]
+    reports = [_pool_metrics("mixed", rows)]
     class_ids = sorted({e.class_id for e in entries if e.class_id is not None})
     if class_ids:
-        per_class = []
-        for cid in class_ids:
-            cls_entries = [e for e in entries if e.class_id == cid]
-            per_class.append(
-                _pool_metrics(f"class:{cid}", cls_entries, score_maps, masks, top_fraction)
-            )
+        per_class = [
+            _pool_metrics(f"class:{cid}",
+                          [r for e, r in zip(entries, rows) if e.class_id == cid])
+            for cid in class_ids
+        ]
         reports.extend(per_class)
         reports.append(macro_average(per_class))
     return reports

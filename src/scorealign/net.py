@@ -37,7 +37,7 @@ def _kaiming_uniform(rng, shape, fan_in):
 
 
 class Layer:
-    """Forward/backward pair; `mode` is 'train', 'eval', or 'frozen'."""
+    """Forward/backward pair; `mode` is 'train' or 'eval'."""
 
     def params(self) -> list[Param]:
         return []
@@ -141,30 +141,20 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval.
-
-    'frozen' mode reuses the mask left by the last train-mode forward
-    (gradient checking needs the same mask on every forward).
-    """
+    """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval."""
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.mask = None
 
     def forward(self, x, mode="eval", rng=None):
         if mode == "eval" or self.rate == 0.0:
             self._scale = None
             return x
-        if mode == "train":
-            self.mask = rng.random(x.shape) >= self.rate
-        elif mode == "frozen":
-            if self.mask is None or self.mask.shape != x.shape:
-                raise ValueError("frozen dropout needs a mask of matching shape")
-        else:
+        if mode != "train":
             raise ValueError(f"unknown mode {mode!r}")
-        self._scale = self.mask / (1.0 - self.rate)
+        self._scale = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * self._scale
 
     def backward(self, grad_out):
@@ -288,16 +278,17 @@ class SGD:
 def grad_check(net: Network, x, loss_fn, eps=1e-5, seed=0) -> float:
     """Max relative error of analytic parameter gradients vs central differences.
 
-    Dropout masks are frozen once so the analytic and numeric passes see
-    the same function; everything runs in float64.
+    Every forward runs in train mode with a fresh generator seeded by `seed`,
+    so each one draws the same dropout masks and the analytic and numeric
+    passes see the same function; everything runs in float64.
     """
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    # one train-mode pass materializes dropout masks of the right shapes
-    net.forward(x, mode="train", rng=rng)
+
+    def forward():
+        return net.forward(x, mode="train", rng=np.random.default_rng(seed))
+
     net.zero_grad()
-    out = net.forward(x, mode="frozen")
-    _, dout = loss_fn(out)
+    _, dout = loss_fn(forward())
     net.backward(dout)
 
     max_rel = 0.0
@@ -307,9 +298,9 @@ def grad_check(net: Network, x, loss_fn, eps=1e-5, seed=0) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = loss_fn(net.forward(x, mode="frozen"))
+            lp, _ = loss_fn(forward())
             flat[i] = orig - eps
-            lm, _ = loss_fn(net.forward(x, mode="frozen"))
+            lm, _ = loss_fn(forward())
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)

@@ -118,10 +118,9 @@ def test_criterion_02_gradient_fidelity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = 0.0
-    for name, (n_conv, n_linear) in heads.STRUCTURES.items():
-        cfg = heads.HeadConfig(n_conv=n_conv, n_linear=n_linear,
-                               hidden_dim=16, dropout_rate=0.25)
-        network = heads.build_head(cfg, 6, rng)
+    for name in heads.STRUCTURES:
+        cfg = heads.HeadConfig(structure=name, hidden_dim=16, dropout_rate=0.25)
+        network = heads.build_head(cfg, 6, 2, rng)
         x = rng.normal(size=(1, 6, 6, 6))
         target = rng.normal(size=(1, 2))
 

@@ -1,12 +1,20 @@
 import filecmp
 import json
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from scorealign.align import ScoreMap, normalize_meanmax, read_stats_csv
-from scorealign.cli import main
-from scorealign.heads import load_checkpoint, predict_class, predict_stats
+from scorealign.cli import build_parser, main
+from scorealign.heads import (
+    HeadConfig,
+    TrainConfig,
+    load_checkpoint,
+    predict_class,
+    predict_stats,
+)
 from scorealign.tensorio import read_manifest, read_tensor
 
 GEN_ARGS = ["--k-classes", "3", "--grid-h", "8", "--grid-w", "8",
@@ -212,6 +220,29 @@ class TestExitCodes:
                      "--model", str(pipeline / "never_trained")]) == 2
         assert "head.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("add,drop,named", [
+        ({"bogus": 1}, (), "bogus"),
+        ({}, ("alpha",), "alpha"),
+        # the config of a checkpoint from before the structure name replaced
+        # mode, n_conv, n_linear and out_dim
+        ({"mode": "regressor", "n_conv": 0, "n_linear": 2, "out_dim": 2},
+         ("structure",), "n_conv"),
+    ], ids=["unknown-key", "missing-key", "nine-field-config"])
+    def test_align_with_bad_checkpoint_config_is_data_error(
+            self, pipeline, tmp_path, capsys, add, drop, named):
+        ckpt = tmp_path / "reg"
+        shutil.copytree(pipeline / "reg", ckpt)
+        header = json.loads((ckpt / "head.json").read_text())
+        for key in drop:
+            del header["config"][key]
+        header["config"].update(add)
+        (ckpt / "head.json").write_text(json.dumps(header))
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "aligned"),
+                     "--mode", "regressor", "--model", str(ckpt)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
     def test_report_rejects_non_metrics_csv(self, pipeline, tmp_path, capsys):
         assert main(["report", "--data", str(pipeline / "data"),
                      "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "report"),
@@ -260,6 +291,31 @@ class TestExitCodes:
                 (bad_maps / f"{r['image_id']}.adt").write_bytes(src.read_bytes())
         assert main(["eval", "--data", str(data), "--maps", str(bad_maps),
                      "--out", str(tmp_path / "m.csv")]) == 2
+
+
+def _config_defaults_checked(argv) -> set:
+    """Compare each HeadConfig/TrainConfig field a subcommand exposes as a
+    flag with the parsed default; return the names of the fields compared."""
+    parsed = vars(build_parser().parse_args(argv))
+    checked = set()
+    for f in fields(HeadConfig) + fields(TrainConfig):
+        dest = {"dropout_rate": "dropout"}.get(f.name, f.name)
+        if dest in parsed:
+            assert parsed[dest] == f.default, f.name
+            assert type(parsed[dest]) is type(f.default), f.name
+            checked.add(f.name)
+    return checked
+
+
+class TestFlagDefaults:
+    def test_train_head_defaults_are_the_config_defaults(self):
+        checked = _config_defaults_checked(["train-head", "--data", "d", "--out", "o"])
+        assert checked == {f.name for f in fields(HeadConfig) + fields(TrainConfig)}
+
+    def test_ablate_defaults_are_the_config_defaults(self):
+        checked = _config_defaults_checked(["ablate", "--data", "d", "--maps", "m",
+                                            "--out", "o"])
+        assert checked == {"hidden_dim", "iterations", "seed"}
 
 
 class TestGradCheckCommand:

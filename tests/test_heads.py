@@ -46,13 +46,13 @@ def _class_images(rng, center, spread, n, prefix):
     return feats, maps
 
 
-def _const_model(mode, out_vals, in_channels=DIM, target="meanmax", class_labels=None):
+def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None):
     """A head whose network output is the constant `out_vals` (zero weights,
-    fixed bias); used to pin predictions in unit tests."""
+    fixed bias); used to pin predictions in unit tests. A classifier when
+    `class_labels` is given, else a regressor."""
     out_dim = len(out_vals)
-    cfg = HeadConfig(mode=mode, n_conv=0, n_linear=1, dropout_rate=0.0,
-                     target=target, out_dim=out_dim)
-    network = build_head(cfg, in_channels, np.random.default_rng(0))
+    cfg = HeadConfig(structure="1lin", dropout_rate=0.0, target=target)
+    network = build_head(cfg, in_channels, out_dim, np.random.default_rng(0))
     final = network.layers[-1]
     final.w.value[...] = 0.0
     final.b.value[...] = out_vals
@@ -80,8 +80,8 @@ class TestBuildHead:
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_structure_shapes(self, name):
         n_conv, n_linear = STRUCTURES[name]
-        cfg = HeadConfig(n_conv=n_conv, n_linear=n_linear, hidden_dim=16)
-        network = build_head(cfg, DIM, np.random.default_rng(0))
+        cfg = HeadConfig(structure=name, hidden_dim=16)
+        network = build_head(cfg, DIM, 2, np.random.default_rng(0))
         convs = [l for l in network.layers if isinstance(l, net.Conv3x3)]
         linears = [l for l in network.layers if isinstance(l, net.Linear)]
         assert len(convs) == n_conv
@@ -90,36 +90,32 @@ class TestBuildHead:
         assert out.shape == (2, 2)
 
     def test_one_dropout_per_linear(self):
-        cfg = HeadConfig(n_conv=1, n_linear=3, hidden_dim=8)
-        network = build_head(cfg, DIM, np.random.default_rng(0))
+        cfg = HeadConfig(structure="3lin", hidden_dim=8)
+        network = build_head(cfg, DIM, 2, np.random.default_rng(0))
         dropouts = [l for l in network.layers if isinstance(l, net.Dropout)]
         assert len(dropouts) == 3
 
     def test_first_dropout_precedes_pooling(self):
-        cfg = HeadConfig(n_conv=1, n_linear=2)
-        network = build_head(cfg, DIM, np.random.default_rng(0))
+        cfg = HeadConfig(structure="1conv+2lin")
+        network = build_head(cfg, DIM, 2, np.random.default_rng(0))
         types = [type(l) for l in network.layers]
         assert types.index(net.Dropout) < types.index(net.GlobalAvgPool)
 
     def test_relu_variant(self):
         cfg = HeadConfig(activation="relu")
-        network = build_head(cfg, DIM, np.random.default_rng(0))
+        network = build_head(cfg, DIM, 2, np.random.default_rng(0))
         assert any(isinstance(l, net.ReLU) for l in network.layers)
         assert not any(isinstance(l, net.GELU) for l in network.layers)
 
     def test_invalid_configs_rejected(self):
+        with pytest.raises(ValueError, match="structure"):
+            HeadConfig(structure="3conv+2lin").validate()
         with pytest.raises(ValueError):
-            HeadConfig(mode="oracle").validate()
-        with pytest.raises(ValueError):
-            HeadConfig(n_conv=3).validate()
-        with pytest.raises(ValueError):
-            HeadConfig(n_linear=0).validate()
-        with pytest.raises(ValueError):
-            HeadConfig(mode="classifier", out_dim=1).validate()
-        with pytest.raises(ValueError):
-            HeadConfig(out_dim=3).validate()
+            HeadConfig(activation="tanh").validate()
         with pytest.raises(ValueError):
             HeadConfig(target="median").validate()
+        with pytest.raises(ValueError):
+            HeadConfig(alpha=0.0).validate()
 
 
 class TestRegressor:
@@ -129,7 +125,7 @@ class TestRegressor:
         feats, maps = _class_images(rng, center, 1.0, 20, "tr")
         held_feats, held_maps = _class_images(rng, center, 1.0, 10, "ho")
         u_c = float(np.mean([m.mean() for m in maps.values()]))
-        cfg = HeadConfig(n_conv=0, n_linear=2, hidden_dim=32)
+        cfg = HeadConfig(structure="2lin", hidden_dim=32)
         model = train_regressor(feats, maps, cfg, TrainConfig(iterations=400, seed=0))
         rel_errs = [abs(predict_stats(model, f)[0] - u_c) / u_c
                     for f in held_feats.values()]
@@ -145,7 +141,7 @@ class TestRegressor:
         maps = {**m0, **m1}
         h0, _ = _class_images(rng, c0, 0.25, 8, "ha")
         h1, _ = _class_images(rng, c1, 4.0, 8, "hb")
-        cfg = HeadConfig(n_conv=0, n_linear=2, hidden_dim=64)
+        cfg = HeadConfig(structure="2lin", hidden_dim=64)
         model = train_regressor(feats, maps, cfg, TrainConfig(iterations=800, seed=0))
         g0 = np.median([predict_stats(model, f)[1] for f in h0.values()])
         g1 = np.median([predict_stats(model, f)[1] for f in h1.values()])
@@ -154,7 +150,7 @@ class TestRegressor:
     def test_zero_iterations_is_valid_model(self):
         rng = np.random.default_rng(102)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
-        cfg = HeadConfig(n_conv=0, n_linear=1)
+        cfg = HeadConfig(structure="1lin")
         model = train_regressor(feats, maps, cfg, TrainConfig(iterations=0))
         assert model.loss_trace == []
         u_hat, g_hat = predict_stats(model, next(iter(feats.values())))
@@ -163,7 +159,7 @@ class TestRegressor:
     def test_training_is_bitwise_reproducible(self):
         rng = np.random.default_rng(103)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 8, "x")
-        cfg = HeadConfig(n_conv=1, n_linear=2, hidden_dim=8)
+        cfg = HeadConfig(structure="1conv+2lin", hidden_dim=8)
         tc = TrainConfig(iterations=30, seed=7)
         a = train_regressor(feats, maps, cfg, tc)
         b = train_regressor(feats, maps, cfg, tc)
@@ -187,9 +183,9 @@ class TestRegressor:
             train_regressor(feats, maps, HeadConfig(), TrainConfig(iterations=1))
 
     def test_wrong_mode_rejected(self):
+        model = _const_model([0.0, 1.0], class_labels=[0, 1])
         with pytest.raises(ValueError, match="regressor"):
-            train_regressor({}, {}, HeadConfig(mode="classifier", out_dim=4),
-                            TrainConfig())
+            predict_stats(model, np.zeros((DIM, *GRID), dtype=np.float32))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -209,7 +205,7 @@ class TestClassifier:
     def test_separable_classes_high_holdout_accuracy(self):
         rng = np.random.default_rng(200)
         feats, labels = self._two_class_data(rng)
-        cfg = HeadConfig(mode="classifier", out_dim=2, n_conv=0, hidden_dim=32)
+        cfg = HeadConfig(structure="2lin", hidden_dim=32)
         model = train_classifier(feats, labels, cfg, TrainConfig(iterations=300))
         assert model.holdout_accuracy == 1.0
 
@@ -220,7 +216,7 @@ class TestClassifier:
         labels = {i: int(rng.integers(0, 4)) for i in sorted(feats)}
         while len(set(labels.values())) < 4:  # ensure all 4 classes occur
             labels = {i: int(rng.integers(0, 4)) for i in sorted(feats)}
-        cfg = HeadConfig(mode="classifier", out_dim=4, n_conv=0, hidden_dim=16)
+        cfg = HeadConfig(structure="2lin", hidden_dim=16)
         model = train_classifier(feats, labels, cfg, TrainConfig(iterations=200))
         assert model.holdout_accuracy <= 0.6  # chance is 0.25
 
@@ -229,27 +225,33 @@ class TestClassifier:
         feats, _ = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
         labels = {i: 0 for i in feats}
         with pytest.raises(ValueError, match="2 classes"):
-            train_classifier(feats, labels, HeadConfig(mode="classifier", out_dim=2),
-                             TrainConfig(iterations=1))
+            train_classifier(feats, labels, HeadConfig(), TrainConfig(iterations=1))
 
     def test_out_dim_must_match_class_count(self):
         rng = np.random.default_rng(203)
-        feats, labels = self._two_class_data(rng, n=8)
-        with pytest.raises(ValueError, match="out_dim"):
-            train_classifier(feats, labels, HeadConfig(mode="classifier", out_dim=3),
-                             TrainConfig(iterations=1))
+        feats, _ = _class_images(rng, np.zeros(DIM), 1.0, 9, "x")
+        labels = {i: n % 3 for n, i in enumerate(sorted(feats))}
+        model = train_classifier(feats, labels, HeadConfig(structure="2lin", hidden_dim=8),
+                                 TrainConfig(iterations=1))
+        out = model.network.forward(np.zeros((1, DIM, *GRID)))
+        assert out.shape == (1, 3)
+
+    def test_wrong_mode_rejected(self):
+        model = _const_model([1.0, 3.0])
+        with pytest.raises(ValueError, match="classifier"):
+            predict_class(model, np.zeros((DIM, *GRID), dtype=np.float32))
 
     def test_non_contiguous_class_ids_preserved(self):
         rng = np.random.default_rng(204)
         feats, labels = self._two_class_data(rng, n=16)
         labels = {i: (7 if v == 0 else 11) for i, v in labels.items()}
-        cfg = HeadConfig(mode="classifier", out_dim=2, n_conv=0, hidden_dim=16)
+        cfg = HeadConfig(structure="2lin", hidden_dim=16)
         model = train_classifier(feats, labels, cfg, TrainConfig(iterations=150))
         pred = predict_class(model, feats["a000"])
         assert pred in (7, 11)
 
     def test_tie_break_lowest_class_id(self):
-        model = _const_model("classifier", [0.5, 0.5, 0.5], class_labels=[2, 5, 9])
+        model = _const_model([0.5, 0.5, 0.5], class_labels=[2, 5, 9])
         assert predict_class(model, np.zeros((DIM, *GRID), dtype=np.float32)) == 2
 
 
@@ -277,14 +279,14 @@ class TestCalibrate:
         assert np.allclose(m.values, [0.0, 0.5, 1.0])
 
     def test_regressor_calibration_matches_predicted_stats(self):
-        model = _const_model("regressor", [1.0, 3.0])
+        model = _const_model([1.0, 3.0])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         smap = ScoreMap("a", np.full(GRID, 2.0))
         out = _align_one(smap, _regressor_scale_of(model, f))
         assert np.allclose(out.values, (2.0 - 1.0) / (3.0 - 1.0))
 
     def test_meanstd_regressor_uses_sigma(self):
-        model = _const_model("regressor", [1.0, 0.5], target="meanstd")
+        model = _const_model([1.0, 0.5], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         smap = ScoreMap("a", np.full(GRID, 2.5))
         out = _align_one(smap, _regressor_scale_of(model, f))
@@ -292,13 +294,13 @@ class TestCalibrate:
         assert out.values.tobytes() == ref.values.tobytes()
 
     def test_negative_predicted_sigma_clamped(self):
-        model = _const_model("regressor", [1.0, -2.0], target="meanstd")
+        model = _const_model([1.0, -2.0], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.warns(DegenerateScaleWarning):
             _align_one(ScoreMap("a", np.full(GRID, 2.0)), _regressor_scale_of(model, f))
 
     def test_classifier_calibration_selects_class_stats(self):
-        model = _const_model("classifier", [0.0, 5.0], class_labels=[0, 1])
+        model = _const_model([0.0, 5.0], class_labels=[0, 1])
         stats = [ClassStats(0, 0.0, 1.0, 0.3, 1, 4),
                  ClassStats(1, 10.0, 20.0, 3.0, 1, 4)]
         f = np.zeros((DIM, *GRID), dtype=np.float32)
@@ -307,7 +309,7 @@ class TestCalibrate:
         assert np.allclose(out.values, 0.5)  # (15-10)/(20-10): class-1 stats
 
     def test_classifier_missing_stats_rejected(self):
-        model = _const_model("classifier", [5.0, 0.0], class_labels=[3, 4])
+        model = _const_model([5.0, 0.0], class_labels=[3, 4])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.raises(KeyError, match="class 3"):
             _align_one(ScoreMap("a", np.ones(2)), _classifier_scale_of(model, [], f))
@@ -330,7 +332,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(301)
         feats, labels = TestClassifier._two_class_data(rng, n=16)
         labels = {i: v + 5 for i, v in labels.items()}
-        cfg = HeadConfig(mode="classifier", out_dim=2, n_conv=0, hidden_dim=8)
+        cfg = HeadConfig(structure="2lin", hidden_dim=8)
         model = train_classifier(feats, labels, cfg, TrainConfig(iterations=40))
         save_checkpoint(model, tmp_path / "ckpt")
         back = load_checkpoint(tmp_path / "ckpt")

@@ -142,18 +142,6 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(-0.1)
 
-    def test_frozen_mode_reuses_mask(self):
-        d = Dropout(0.5)
-        x = np.ones((8, 8))
-        a = d.forward(x, mode="train", rng=np.random.default_rng(1))
-        b = d.forward(x, mode="frozen")
-        assert np.array_equal(a, b)
-
-    def test_frozen_without_mask_rejected(self):
-        d = Dropout(0.5)
-        with pytest.raises(ValueError, match="mask"):
-            d.forward(np.ones((2, 2)), mode="frozen")
-
 
 class TestGlobalAvgPool:
     def test_constant_map(self):

@@ -171,6 +171,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_head(args) -> int:
+    if args.mode == "regressor" and args.maps is None:
+        raise UsageError("train-head --mode regressor needs --maps")
     manifest = read_manifest(Path(args.data) / "manifest.json")
     features = _load_features(manifest, "train")
     head_cfg = heads.HeadConfig(**{f.name: getattr(args, _HEAD_FLAGS.get(f.name, f.name))

@@ -67,6 +67,8 @@ class HeadConfig:
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}, "
                              f"expected one of {sorted(STRUCTURES)}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.activation not in ("gelu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.target not in ("meanmax", "meanstd"):
@@ -243,7 +245,6 @@ def train_regressor(
     (u_img, sigma_img) for the meanstd variant; dropout is active
     throughout training as the pseudo-anomaly noise source.
     """
-    head_cfg.validate()
     ids = sorted(features)
     if not ids:
         raise ValueError("empty training set")
@@ -278,7 +279,6 @@ def train_classifier(
     Every HOLDOUT_EVERY-th image (in sorted id order) is held out and
     its post-training accuracy recorded on the model.
     """
-    head_cfg.validate()
     ids = sorted(features)
     if not ids:
         raise ValueError("empty training set")

@@ -1,10 +1,10 @@
 """Minimal trainable-network engine for the calibration heads.
 
-Layers operate on float64 batches ([N, C, H, W] for spatial layers,
-[N, F] after pooling) and carry their own analytic backward. The only
-supported convolution is 3x3 / stride 1 / zero padding 1, which is all
-the head structures need. Training is bitwise reproducible given (seed,
-data order, hyperparameters).
+Layers pass float64 batches ([N, C, H, W] for spatial layers, [N, F]
+after pooling) and carry their own analytic backward. The only convolution
+is 3x3 / stride 1 / zero padding 1, all the heads need; inside, it is one
+2-D matrix product per kernel offset. Training is bitwise reproducible on
+one host given (seed, data order, hyperparameters).
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ class Layer:
 
 
 class Conv3x3(Layer):
-    """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved)."""
+    """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved).
+
+    Contiguous NCHW in and out. Inside, each of the 9 kernel offsets is one
+    2-D matrix product over the channels of a zero-padded channel-major copy,
+    summed into zeros in (di, dj) order, then the bias; trained bytes depend on it.
+    """
 
     def __init__(self, in_channels, out_channels, rng):
         fan_in = in_channels * 9
@@ -64,38 +69,28 @@ class Conv3x3(Layer):
         n, c, h, w = x.shape
         if c != self.w.value.shape[1]:
             raise ValueError(f"expected {self.w.value.shape[1]} channels, got {c}")
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        y = np.zeros((n, self.w.value.shape[0], h, w))
+        xp = self._xp = np.zeros((c, n, h + 2, w + 2))
+        xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+        y = np.zeros((self.w.value.shape[0], n * h * w))
         for di in range(3):
             for dj in range(3):
-                y += np.einsum(
-                    "nchw,oc->nohw",
-                    xp[:, :, di : di + h, dj : dj + w],
-                    self.w.value[:, :, di, dj],
-                    optimize=True,
-                )
-        y += self.b.value[None, :, None, None]
-        self._xp = xp
-        self._hw = (h, w)
-        return y
+                y += self.w.value[:, :, di, dj] @ xp[:, :, di : di + h, dj : dj + w].reshape(c, -1)
+        y += self.b.value[:, None]
+        return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
     def backward(self, grad_out):
-        h, w = self._hw
-        xp = self._xp
+        xp, (n, o, h, w) = self._xp, grad_out.shape
+        g_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)  # [N*H*W, O]
+        g_cols = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # [O, N*H*W]
         dxp = np.zeros_like(xp)
         for di in range(3):
             for dj in range(3):
-                self.w.grad[:, :, di, dj] += np.einsum(
-                    "nohw,nchw->oc",
-                    grad_out,
-                    xp[:, :, di : di + h, dj : dj + w],
-                    optimize=True,
-                )
-                dxp[:, :, di : di + h, dj : dj + w] += np.einsum(
-                    "nohw,oc->nchw", grad_out, self.w.value[:, :, di, dj], optimize=True
-                )
+                window = xp[:, :, di : di + h, dj : dj + w].reshape(len(xp), -1)
+                self.w.grad[:, :, di, dj] += (window @ g_rows).T
+                dxp[:, :, di : di + h, dj : dj + w] += (
+                    self.w.value[:, :, di, dj].T @ g_cols).reshape(-1, n, h, w)
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
-        return dxp[:, :, 1:-1, 1:-1]
+        return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
 
 
 class Linear(Layer):
@@ -189,10 +184,13 @@ class Network:
         return x
 
     def backward(self, grad_out):
-        g = grad_out
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+        """Backpropagate `grad_out` (d loss / d last forward output) into every
+        parameter's grad. Returns nothing: it stops at the deepest layer with
+        parameters, since nothing reads the input gradient below it."""
+        deepest = next((i for i, layer in enumerate(self.layers) if layer.params()),
+                       len(self.layers))
+        for layer in reversed(self.layers[deepest:]):
+            grad_out = layer.backward(grad_out)
 
     def zero_grad(self):
         for p in self.parameters():

@@ -213,6 +213,25 @@ class TestExitCodes:
                      "--out", str(pipeline / "nope"), "--mode", "regressor"]) == 1
         assert "--model" in capsys.readouterr().err
 
+    def test_train_regressor_without_maps_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "reg"
+        assert main(["train-head", "--data", str(pipeline / "data"), "--mode", "regressor",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--maps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hidden_dim", ["0", "-3"])
+    def test_train_head_nonpositive_hidden_dim_is_data_error(
+            self, pipeline, tmp_path, capsys, hidden_dim):
+        out = tmp_path / "reg"
+        assert main(["train-head", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(out),
+                     "--structure", "2lin", "--hidden-dim", hidden_dim,
+                     "--iterations", "2"]) == 2
+        assert "hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_align_with_untrained_checkpoint_names_missing_file(self, pipeline, capsys):
         assert main(["align", "--data", str(pipeline / "data"),
                      "--maps", str(pipeline / "maps"),

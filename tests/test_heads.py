@@ -116,6 +116,9 @@ class TestBuildHead:
             HeadConfig(target="median").validate()
         with pytest.raises(ValueError):
             HeadConfig(alpha=0.0).validate()
+        for hidden_dim in (0, -1):
+            with pytest.raises(ValueError, match="hidden_dim"):
+                HeadConfig(structure="2lin", hidden_dim=hidden_dim).validate()
 
 
 class TestRegressor:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scorealign.net import (
     GELU,
@@ -7,6 +9,7 @@ from scorealign.net import (
     Conv3x3,
     Dropout,
     GlobalAvgPool,
+    Layer,
     Linear,
     Network,
     NumericalError,
@@ -33,6 +36,30 @@ def finite_diff_input_grad(layer, x, dout, eps=1e-6):
         flat[i] = orig
         gflat[i] = (lp - lm) / (2 * eps)
     return num
+
+
+def direct_conv3x3(x, w, b, dout):
+    """Naive direct 3x3 / stride 1 / pad 1 convolution: output, input gradient,
+    weight gradient and bias gradient for the output gradient `dout`."""
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((n, o, h, wd)) + b[None, :, None, None]
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for oc in range(o):
+        for ic in range(c):
+            for di in range(3):
+                for dj in range(3):
+                    for i in range(h):
+                        for j in range(wd):
+                            y[:, oc, i, j] += w[oc, ic, di, dj] * xp[:, ic, i + di, j + dj]
+                            dw[oc, ic, di, dj] += dout[:, oc, i, j] @ xp[:, ic, i + di, j + dj]
+                            dxp[:, ic, i + di, j + dj] += w[oc, ic, di, dj] * dout[:, oc, i, j]
+    return y, dxp[:, :, 1:-1, 1:-1], dw, dout.sum(axis=(0, 2, 3))
+
+
+def rel_err(a, ref):
+    return float(np.max(np.abs(a - ref)) / max(float(np.max(np.abs(ref))), 1e-300))
 
 
 class TestConv3x3:
@@ -67,6 +94,26 @@ class TestConv3x3:
         conv = Conv3x3(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="channels"):
             conv.forward(np.ones((1, 4, 3, 3)))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 4), o=st.integers(1, 4),
+           h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, c=2, o=3, h=1, w=1, seed=0)
+    @example(n=3, c=3, o=2, h=2, w=5, seed=1)
+    @example(n=4, c=1, o=4, h=6, w=1, seed=2)
+    def test_matches_direct_convolution(self, n, c, o, h, w, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv3x3(c, o, rng)
+        conv.b.value[...] = rng.normal(size=o)
+        x = rng.normal(size=(n, c, h, w))
+        dout = rng.normal(size=(n, o, h, w))
+        y = conv.forward(x)
+        dx = conv.backward(dout)
+        ref = direct_conv3x3(x, conv.w.value, conv.b.value, dout)
+        for got, want in zip((y, dx, conv.w.grad, conv.b.grad), ref):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+        assert y.flags.c_contiguous and dx.flags.c_contiguous
 
 
 class TestLinear:
@@ -326,6 +373,42 @@ class TestGradCheck:
         x = rng.normal(size=(2, 4))
         target = rng.normal(size=(2, 3))
         assert grad_check(net, x, _scalar_smooth_l1(target)) > 1e-2
+
+
+class _NoBackward(Layer):
+    """Parameter-free identity layer whose gradient must never be asked for."""
+
+    def forward(self, x, mode="eval", rng=None):
+        return x
+
+    def backward(self, grad_out):
+        raise AssertionError("backward ran below the deepest layer with parameters")
+
+
+class TestNetworkBackward:
+    @staticmethod
+    def _layers(conv, rng):
+        front = [Conv3x3(2, 2, rng), GELU()] if conv else []
+        return front + [Dropout(0.25), GlobalAvgPool(), Linear(2, 5, rng), GELU(),
+                        Dropout(0.25), Linear(5, 2, rng)]
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["linear-only", "conv"])
+    def test_gradients_equal_full_chain_and_stop_at_deepest_trained_layer(self, conv):
+        x = np.random.default_rng(20).normal(size=(3, 2, 4, 5))
+        dout = np.random.default_rng(21).normal(size=(3, 2))
+        stopped = Network([_NoBackward()] + self._layers(conv, np.random.default_rng(22)))
+        full = Network(self._layers(conv, np.random.default_rng(22)))
+        stopped.forward(x, mode="train", rng=np.random.default_rng(23))
+        full.forward(x, mode="train", rng=np.random.default_rng(23))
+
+        assert stopped.backward(dout) is None
+        g = dout
+        for layer in reversed(full.layers):
+            g = layer.backward(g)
+        got, want = stopped.parameters(), full.parameters()
+        assert len(got) == len(want)
+        assert all(np.array_equal(a.grad, b.grad) for a, b in zip(got, want))
+        assert any(np.any(p.grad != 0) for p in got)
 
 
 class TestDeterminism:

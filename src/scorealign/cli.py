@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -21,6 +22,7 @@ from . import heads, metrics, net, synth
 from .align import ScoreMap
 from .tensorio import (
     DatasetManifest,
+    ImageEntry,
     ManifestError,
     TensorFormatError,
     read_manifest,
@@ -47,13 +49,14 @@ def _write_run_config(out: Path, args: argparse.Namespace) -> None:
         f.write("\n")
 
 
+def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
+    if e.feature_path is None:
+        raise ManifestError(f"{e.image_id}: no feature_path")
+    return manifest.resolve(e.feature_path)
+
+
 def _load_features(manifest: DatasetManifest, split: str) -> dict[str, np.ndarray]:
-    out = {}
-    for e in manifest.split(split):
-        if e.feature_path is None:
-            raise ManifestError(f"{e.image_id}: no feature_path")
-        out[e.image_id] = read_tensor(manifest.resolve(e.feature_path))
-    return out
+    return {e.image_id: read_tensor(_feature_path(manifest, e)) for e in manifest.split(split)}
 
 
 def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[str, np.ndarray]:
@@ -134,21 +137,30 @@ def cmd_fit_base(args) -> int:
     return 0
 
 
+# score answers whole images in chunks of at least this many query rows: enough
+# to keep every CPU busy, few enough that the float64 rows barely move peak RSS
+SCORE_CHUNK_ROWS = 16384
+
+
 def cmd_score(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     coreset = synth.load_coreset(args.coreset)
     splits = ("train", "test") if args.split == "all" else (args.split,)
+    todo = [(e.image_id, _feature_path(manifest, e))
+            for split in splits for e in manifest.split(split)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    for split in splits:
-        for e in manifest.split(split):
-            feats = read_tensor(manifest.resolve(e.feature_path))
-            smap = synth.score_knn(feats, coreset)
-            write_tensor(out_dir / f"{e.image_id}.adt", smap)
-            n += 1
+    ids, feats, rows = [], [], 0
+    for n, (image_id, path) in enumerate(todo, 1):
+        ids.append(image_id)
+        feats.append(read_tensor(path))
+        rows += math.prod(feats[-1].shape[1:])
+        if rows >= SCORE_CHUNK_ROWS or n == len(todo):
+            for done, smap in zip(ids, synth.score_knn(feats, coreset)):
+                write_tensor(out_dir / f"{done}.adt", smap)
+            ids, feats, rows = [], [], 0
     _write_run_config(out_dir / "run_config.json", args)
-    print(f"scored {n} images -> {out_dir}")
+    print(f"scored {len(todo)} images -> {out_dir}")
     return 0
 
 

@@ -86,6 +86,12 @@ class TrainConfig:
     iterations: int = 5000
     seed: int = 0
 
+    def validate(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 # global gradient-norm clip; the fixed lr/momentum overshoots on
 # low-dimensional inputs without it
@@ -197,6 +203,7 @@ def _fit(
     """The SGD loop both heads share: inputs standardized over `ids`, batches
     drawn from `ids`, batch_loss(output, batch indices) -> (mean loss, output
     gradient), clipped steps, and the tail average as the returned model."""
+    train_cfg.validate()
     in_channels = int(np.asarray(features[ids[0]]).shape[0])
     in_offset, in_scale = _fit_input_norm(features, ids)
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -188,15 +188,22 @@ def fit_coreset(features: Mapping[str, np.ndarray], m_per_image: int, seed: int 
     return Coreset(points=np.concatenate(chunks), per_image_count=m_per_image)
 
 
-def score_knn(features: np.ndarray, coreset: Coreset) -> np.ndarray:
-    """Per-location Euclidean distance to the nearest coreset point, [H, W]."""
-    feats = np.asarray(features, dtype=np.float64)
-    d, h, w = feats.shape
-    if d != coreset.points.shape[1]:
-        raise ValueError(f"feature dim {d} != coreset dim {coreset.points.shape[1]}")
-    queries = feats.reshape(d, h * w).T
-    dist, _ = coreset.tree.query(queries)
-    return dist.reshape(h, w)
+def score_knn(features: Sequence[np.ndarray], coreset: Coreset) -> list[np.ndarray]:
+    """Per-location Euclidean distance to the nearest coreset point: one [H, W]
+    map per [D, H, W] tensor; grids may differ. All rows go to one tree query
+    on every CPU. Each row is answered on its own, so the maps are
+    byte-identical to one single-threaded query per image."""
+    rows, shapes = [], []
+    for f in features:
+        feats = np.asarray(f, dtype=np.float64)
+        d, h, w = feats.shape
+        if d != coreset.points.shape[1]:
+            raise ValueError(f"feature dim {d} != coreset dim {coreset.points.shape[1]}")
+        rows.append(feats.reshape(d, h * w).T)
+        shapes.append((h, w))
+    dist, _ = coreset.tree.query(np.concatenate(rows), workers=-1)
+    ends = np.cumsum([h * w for h, w in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(dist, ends), shapes)]
 
 
 def save_coreset(coreset: Coreset, out_dir) -> None:

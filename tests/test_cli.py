@@ -5,7 +5,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from scorealign import cli, synth
 from scorealign.align import ScoreMap, normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
@@ -199,6 +201,44 @@ class TestDeterminism:
         assert_same(cmp)
 
 
+class TestScoreCommand:
+    # 300 rows is 5 of the fixture's 8x8 images a chunk: 36 and 72 images
+    # leave a partial last chunk, as does one chunk of the default size
+    @pytest.mark.parametrize("chunk_rows", [300, cli.SCORE_CHUNK_ROWS])
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_maps_equal_single_threaded_query_per_image(
+            self, pipeline, tmp_path, monkeypatch, split, chunk_rows):
+        chunks = []
+        score_knn = synth.score_knn
+
+        def recording(features, coreset):
+            chunks.append(len(features))
+            return score_knn(features, coreset)
+
+        monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(synth, "score_knn", recording)
+        out = tmp_path / "maps"
+        assert main(["score", "--data", str(pipeline / "data"),
+                     "--coreset", str(pipeline / "coreset"), "--split", split,
+                     "--out", str(out)]) == 0
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        splits = ("train", "test") if split == "all" else (split,)
+        entries = [e for s in splits for e in man.split(s)]
+        per_chunk = -(-chunk_rows // 64)
+        assert len(entries) % per_chunk != 0
+        assert chunks == ([per_chunk] * (len(entries) // per_chunk)
+                          + [len(entries) % per_chunk])
+        assert sorted(p.name for p in out.glob("*.adt")) == sorted(
+            f"{e.image_id}.adt" for e in entries)
+        tree = cKDTree(read_tensor(pipeline / "coreset" / "points.adt"))
+        for e in entries:
+            feats = read_tensor(man.resolve(e.feature_path)).astype(np.float64)
+            want, _ = tree.query(feats.reshape(4, 64).T)
+            got = read_tensor(out / f"{e.image_id}.adt")
+            assert got.dtype == np.float64 and got.shape == (8, 8)
+            assert got.tobytes() == want.reshape(8, 8).tobytes()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["gen", "--out", "/tmp/x", "--no-such-flag"]) == 1
@@ -230,6 +270,33 @@ class TestExitCodes:
                      "--structure", "2lin", "--hidden-dim", hidden_dim,
                      "--iterations", "2"]) == 2
         assert "hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,flag", [("0", "iterations"), ("-3", "iterations"),
+                                            ("0", "batch-size"), ("-3", "batch-size")])
+    def test_train_head_nonpositive_train_config_is_data_error(
+            self, pipeline, tmp_path, capsys, value, flag):
+        out = tmp_path / "reg"
+        assert main(["train-head", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(out),
+                     "--structure", "2lin", "--hidden-dim", "4", "--iterations", "2",
+                     f"--{flag}", value]) == 2
+        assert flag.replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_entry_without_feature_path_is_data_error(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "data" / "manifest.json").read_text())
+        for rec in doc["images"]:
+            rec["feature_path"] = str(pipeline / "data" / rec["feature_path"])
+        last_train = [r for r in doc["images"] if r["split"] == "train"][-1]
+        del last_train["feature_path"]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "maps"
+        assert main(["score", "--data", str(data), "--coreset", str(pipeline / "coreset"),
+                     "--out", str(out)]) == 2
+        assert f"{last_train['image_id']}: no feature_path" in capsys.readouterr().err
         assert not out.exists()
 
     def test_align_with_untrained_checkpoint_names_missing_file(self, pipeline, capsys):

@@ -150,14 +150,24 @@ class TestRegressor:
         g1 = np.median([predict_stats(model, f)[1] for f in h1.values()])
         assert 8.0 <= g1 / g0 <= 32.0
 
-    def test_zero_iterations_is_valid_model(self):
+    def test_run_without_tail_average_is_valid_model(self):
+        # 3 iterations leave int(AVG_FRAC * 3) = 0 steps to average
         rng = np.random.default_rng(102)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
         cfg = HeadConfig(structure="1lin")
-        model = train_regressor(feats, maps, cfg, TrainConfig(iterations=0))
-        assert model.loss_trace == []
+        model = train_regressor(feats, maps, cfg, TrainConfig(iterations=3))
+        assert len(model.loss_trace) == 3
         u_hat, g_hat = predict_stats(model, next(iter(feats.values())))
         assert np.isfinite(u_hat) and np.isfinite(g_hat)
+
+    @pytest.mark.parametrize("field", ["iterations", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_train_config_rejected(self, field, value):
+        rng = np.random.default_rng(102)
+        feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
+        with pytest.raises(ValueError, match=field):
+            train_regressor(feats, maps, HeadConfig(structure="1lin"),
+                            TrainConfig(**{field: value}))
 
     def test_training_is_bitwise_reproducible(self):
         rng = np.random.default_rng(103)

@@ -3,6 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from scorealign.metrics import evaluate
 from scorealign.synth import (
@@ -155,18 +159,18 @@ class TestCoreset:
         rng = np.random.default_rng(2)
         feats = {"a": rng.normal(size=(4, 3, 3)).astype(np.float32)}
         core = fit_coreset(feats, m_per_image=9)
-        scores = score_knn(feats["a"], core)
+        scores = score_knn([feats["a"]], core)[0]
         assert np.allclose(scores, 0.0, atol=1e-7)
 
     def test_three_four_five_distance(self):
         core = Coreset(points=np.array([[0.0, 0.0]]), per_image_count=1)
         query = np.array([3.0, 4.0]).reshape(2, 1, 1)
-        assert score_knn(query, core)[0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert score_knn([query], core)[0][0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_dim_mismatch_rejected(self):
         core = Coreset(points=np.zeros((3, 2)), per_image_count=3)
         with pytest.raises(ValueError, match="dim"):
-            score_knn(np.zeros((4, 2, 2)), core)
+            score_knn([np.zeros((4, 2, 2))], core)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -176,6 +180,46 @@ class TestCoreset:
         back = load_coreset(tmp_path)
         assert back.points.tobytes() == core.points.tobytes()
         assert back.per_image_count == 6
+
+
+# small integers make duplicate points and equidistant neighbours common
+VALUES = st.integers(-3, 3).map(float) | st.floats(-10, 10, width=32)
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@st.composite
+def coreset_and_images(draw):
+    """Coreset points with repeated rows, and float32 [D, H, W] images on
+    differing grids, one of them 1x1."""
+    dim = draw(st.integers(1, 4))
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 40)), dim), elements=VALUES))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
+    points = np.concatenate([base, base[repeats]])
+    grids = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                          min_size=1, max_size=5))
+    grids.insert(draw(st.integers(0, len(grids))), (1, 1))
+    assume(len(set(grids)) > 1)
+    images = [draw(hnp.arrays(np.float32, (dim, h, w), elements=VALUES)) for h, w in grids]
+    return points, images
+
+
+class TestScoreKnnBatch:
+    @PROPERTY_SETTINGS
+    @given(coreset_and_images())
+    def test_equals_single_threaded_query_per_image(self, case):
+        points, images = case
+        maps = score_knn(images, Coreset(points=points, per_image_count=1))
+        assert len(maps) == len(images)
+        for smap, img in zip(maps, images):
+            d, h, w = img.shape
+            want, _ = cKDTree(points).query(img.astype(np.float64).reshape(d, h * w).T)
+            assert smap.dtype == np.float64 and smap.shape == (h, w)
+            assert smap.tobytes() == want.reshape(h, w).tobytes()
+
+    def test_dim_mismatch_in_any_image_rejected(self):
+        core = Coreset(points=np.zeros((3, 2)), per_image_count=3)
+        with pytest.raises(ValueError, match="dim"):
+            score_knn([np.zeros((2, 2, 2)), np.zeros((4, 1, 1))], core)
 
 
 class TestScaleMismatchMechanism:
@@ -189,7 +233,7 @@ class TestScaleMismatchMechanism:
         train = _load_features(man, "train")
         test = _load_features(man, "test")
         core = fit_coreset(train, 16, seed=0)
-        maps = {i: score_knn(f, core) for i, f in test.items()}
+        maps = {i: score_knn([f], core)[0] for i, f in test.items()}
         masks = {e.image_id: read_tensor(man.resolve(e.mask_path))
                  for e in man.split("test") if e.mask_path}
         reports = evaluate(man, maps, masks)

@@ -3,19 +3,16 @@
 from .align import (
     ClassStats,
     DegenerateScaleWarning,
-    ScoreMap,
     align_maps,
     class_scales,
     fit_class_stats,
     normalize_meanmax,
-    normalize_meanstd,
     scale_by_class,
 )
 from .heads import (
     HeadConfig,
     HeadModel,
     TrainConfig,
-    compute_image_stats,
     predict_class,
     predict_stats,
     predicted_scale,
@@ -30,7 +27,7 @@ from .metrics import (
     evaluate,
     image_score,
 )
-from .synth import Coreset, SynthConfig, fit_coreset, generate, score_knn
+from .synth import SynthConfig, fit_coreset, generate, score_knn
 from .tensorio import (
     DatasetManifest,
     ImageEntry,

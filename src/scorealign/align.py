@@ -24,19 +24,6 @@ class DegenerateScaleWarning(UserWarning):
 
 
 @dataclass
-class ScoreMap:
-    """Per-location anomaly scores for one image."""
-
-    image_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.image_id}: non-finite score")
-
-
-@dataclass
 class ClassStats:
     """Normal-score statistics of one class, fitted on training maps only."""
 
@@ -54,18 +41,18 @@ class ClassStats:
                 f"{self.n_images},{self.n_pixels}")
 
 
-def fit_class_stats(maps_by_class: Mapping[int, Sequence[ScoreMap]]) -> list[ClassStats]:
-    """Fit ClassStats per class from training score maps.
+def fit_class_stats(maps_by_class: Mapping[int, Sequence[np.ndarray]]) -> list[ClassStats]:
+    """Fit ClassStats per class from training score maps, in float64.
 
     Fixed-order (manifest-order) accumulation keeps the result deterministic.
     """
     out = []
     for class_id in sorted(maps_by_class):
-        maps = list(maps_by_class[class_id])
+        maps = [np.asarray(m, dtype=np.float64) for m in maps_by_class[class_id]]
         if not maps:
             raise ValueError(f"class {class_id}: empty score-map group")
-        pixels = np.concatenate([m.values.ravel() for m in maps])
-        maxima = np.array([float(np.max(m.values)) for m in maps])
+        pixels = np.concatenate([m.ravel() for m in maps])
+        maxima = np.array([float(np.max(m)) for m in maps])
         out.append(
             ClassStats(
                 class_id=class_id,
@@ -79,21 +66,19 @@ def fit_class_stats(maps_by_class: Mapping[int, Sequence[ScoreMap]]) -> list[Cla
     return out
 
 
-def normalize_meanmax(smap: ScoreMap, u: float, gamma: float, eps: float = 1e-6) -> ScoreMap:
-    """Mean-max normalization: each pixel becomes (s - u) / max(gamma - u, eps).
+def normalize_meanmax(values: np.ndarray, u: float, gamma: float, eps: float = 1e-6) -> np.ndarray:
+    """Mean-max normalization: each pixel becomes (s - u) / max(gamma - u, eps),
+    in float64 whatever the dtype of `values`.
 
     A degenerate denominator (gamma - u < eps) is clamped to eps and
     flagged with DegenerateScaleWarning.
     """
     denom = gamma - u
     if denom < eps:
-        warnings.warn(
-            f"{smap.image_id}: gamma - u = {denom:.3e} < eps; clamping",
-            DegenerateScaleWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"gamma - u = {denom:.3e} < eps; clamping",
+                      DegenerateScaleWarning, stacklevel=2)
         denom = eps
-    return ScoreMap(smap.image_id, (smap.values - u) / denom)
+    return (np.asarray(values, dtype=np.float64) - u) / denom
 
 
 def meanstd_gamma(u: float, sigma: float) -> float:
@@ -101,11 +86,6 @@ def meanstd_gamma(u: float, sigma: float) -> float:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     return u + 3.0 * sigma
-
-
-def normalize_meanstd(smap: ScoreMap, u: float, sigma: float, eps: float = 1e-6) -> ScoreMap:
-    """Mean/std variant: identical to meanmax with gamma = u + 3*sigma."""
-    return normalize_meanmax(smap, u, meanstd_gamma(u, sigma), eps)
 
 
 def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[int, Scale]:
@@ -131,12 +111,13 @@ def scale_by_class(scales: Mapping[int, Scale],
     return scale_of
 
 
-def align_maps(maps: Sequence[ScoreMap], scale_of: Callable[[str], Scale],
-               eps: float = 1e-6) -> list[ScoreMap]:
-    """Mean-max normalize each map with the (u, gamma) `scale_of` gives its
-    image id. The oracle, classifier and regressor modes differ only in
-    `scale_of`."""
-    return [normalize_meanmax(smap, *scale_of(smap.image_id), eps) for smap in maps]
+def align_maps(maps: Mapping[str, np.ndarray], scale_of: Callable[[str], Scale],
+               eps: float = 1e-6) -> dict[str, np.ndarray]:
+    """Mean-max normalize each {image_id: map} entry with the (u, gamma)
+    `scale_of` gives its image id. The oracle, classifier and regressor modes
+    differ only in `scale_of`."""
+    return {image_id: normalize_meanmax(values, *scale_of(image_id), eps)
+            for image_id, values in maps.items()}
 
 
 def write_stats_csv(path, stats: Sequence[ClassStats]) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import align as align_mod
 from . import heads, metrics, net, synth
-from .align import ScoreMap
 from .tensorio import (
     DatasetManifest,
     ImageEntry,
@@ -129,11 +128,11 @@ def cmd_gen(args) -> int:
 def cmd_fit_base(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     features = _load_features(manifest, "train")
-    coreset = synth.fit_coreset(features, args.m_per_image, seed=args.seed)
+    points = synth.fit_coreset(features, args.m_per_image, seed=args.seed)
     out_dir = Path(args.out)
-    synth.save_coreset(coreset, out_dir)
+    synth.save_coreset(points, args.m_per_image, out_dir)
     _write_run_config(out_dir / "run_config.json", args)
-    print(f"coreset with {coreset.points.shape[0]} points -> {out_dir}")
+    print(f"coreset with {points.shape[0]} points -> {out_dir}")
     return 0
 
 
@@ -144,7 +143,7 @@ SCORE_CHUNK_ROWS = 16384
 
 def cmd_score(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
-    coreset = synth.load_coreset(args.coreset)
+    tree = synth.load_coreset(args.coreset)
     splits = ("train", "test") if args.split == "all" else (args.split,)
     todo = [(e.image_id, _feature_path(manifest, e))
             for split in splits for e in manifest.split(split)]
@@ -156,7 +155,7 @@ def cmd_score(args) -> int:
         feats.append(read_tensor(path))
         rows += math.prod(feats[-1].shape[1:])
         if rows >= SCORE_CHUNK_ROWS or n == len(todo):
-            for done, smap in zip(ids, synth.score_knn(feats, coreset)):
+            for done, smap in zip(ids, synth.score_knn(feats, tree)):
                 write_tensor(out_dir / f"{done}.adt", smap)
             ids, feats, rows = [], [], 0
     _write_run_config(out_dir / "run_config.json", args)
@@ -170,9 +169,9 @@ def cmd_stats(args) -> int:
     if any(e.class_id is None for e in train):
         raise ManifestError("stats needs class_ids on every train image")
     maps = _load_maps(manifest, Path(args.maps), "train")
-    by_class: dict[int, list[ScoreMap]] = {}
+    by_class: dict[int, list[np.ndarray]] = {}
     for e in train:
-        by_class.setdefault(e.class_id, []).append(ScoreMap(e.image_id, maps[e.image_id]))
+        by_class.setdefault(e.class_id, []).append(maps[e.image_id])
     stats = align_mod.fit_class_stats(by_class)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -214,7 +213,6 @@ def cmd_align(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     maps = _load_maps(manifest, Path(args.maps), args.split)
     entries = manifest.split(args.split)
-    score_maps = [ScoreMap(e.image_id, maps[e.image_id]) for e in entries]
 
     if args.mode == "oracle":
         if args.stats is None:
@@ -240,12 +238,12 @@ def cmd_align(args) -> int:
 
         def scale_of(image_id):
             return heads.predicted_scale(model, features[image_id])
-    aligned = align_mod.align_maps(score_maps, scale_of, args.eps)
+    aligned = align_mod.align_maps(maps, scale_of, args.eps)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for smap in aligned:
-        write_tensor(out_dir / f"{smap.image_id}.adt", smap.values)
+    for image_id, values in aligned.items():
+        write_tensor(out_dir / f"{image_id}.adt", values)
     _write_run_config(out_dir / "run_config.json", args)
     print(f"aligned {len(aligned)} maps ({args.mode}) -> {out_dir}")
     return 0
@@ -352,8 +350,6 @@ def cmd_ablate(args) -> int:
     train_maps = _load_maps(manifest, Path(args.maps), "train")
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_features = _load_features(manifest, "test")
-    test_score_maps = [ScoreMap(e.image_id, test_maps[e.image_id])
-                       for e in manifest.split("test")]
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
 
@@ -366,12 +362,8 @@ def cmd_ablate(args) -> int:
                                         dropout_rate=dropout)
             train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
             model = heads.train_regressor(features, train_maps, head_cfg, train_cfg)
-            aligned = {
-                smap.image_id: smap.values
-                for smap in align_mod.align_maps(
-                    test_score_maps,
-                    lambda image_id: heads.predicted_scale(model, test_features[image_id]))
-            }
+            aligned = align_mod.align_maps(
+                test_maps, lambda image_id: heads.predicted_scale(model, test_features[image_id]))
             for tf in ABLATION_TOP_FRACTIONS:
                 cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
                 rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
@@ -387,13 +379,23 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _subcommand(sub, name, func, help, *required_paths) -> _Parser:
+    """Add subcommand `name` running func, with a required --<path> flag for
+    each of required_paths."""
+    p = sub.add_parser(name, help=help)
+    for path in required_paths:
+        p.add_argument("--" + path, required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="scorealign",
                      description="Multi-class anomaly score distribution alignment")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    head, train = heads.HeadConfig, heads.TrainConfig
 
-    p = sub.add_parser("gen", help="generate the synthetic benchmark")
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "gen", cmd_gen, "generate the synthetic benchmark", "out")
     p.add_argument("--config", help="JSON file with SynthConfig fields (overrides flags)")
     for f in fields(synth.SynthConfig):
         if f.name in _SYNTH_PAIRS:
@@ -401,48 +403,32 @@ def build_parser() -> _Parser:
                 _add_field_flag(p, dest, default)
         else:
             _add_field_flag(p, f.name, f.default)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit-base", help="fit the coreset memory bank")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "fit-base", cmd_fit_base, "fit the coreset memory bank", "data", "out")
     p.add_argument("--m-per-image", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fit_base)
 
-    p = sub.add_parser("score", help="nearest-neighbor score maps for a split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--coreset", required=True)
+    p = _subcommand(sub, "score", cmd_score, "nearest-neighbor score maps for a split",
+                    "data", "coreset", "out")
     p.add_argument("--split", choices=("train", "test", "all"), default="all")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("stats", help="fit per-class score statistics on the train split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stats)
+    _subcommand(sub, "stats", cmd_stats, "fit per-class score statistics on the train split",
+                "data", "maps", "out")
 
-    p = sub.add_parser("train-head", help="train the regressor or classifier head")
-    p.add_argument("--data", required=True)
+    p = _subcommand(sub, "train-head", cmd_train_head, "train the regressor or classifier head",
+                    "data", "out")
     p.add_argument("--maps", help="score maps dir (required for regressor)")
-    head = heads.HeadConfig
     p.add_argument("--mode", choices=("regressor", "classifier"), default="regressor")
-    p.add_argument("--out", required=True)
     p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default=head.structure)
     p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
     p.add_argument("--dropout", type=float, default=head.dropout_rate)
-    p.add_argument("--activation", choices=("gelu", "relu"), default=head.activation)
+    p.add_argument("--activation", choices=tuple(heads.ACTIVATIONS), default=head.activation)
     p.add_argument("--target", choices=("meanmax", "meanstd"), default=head.target)
     p.add_argument("--alpha", type=float, default=head.alpha)
-    for f in fields(heads.TrainConfig):
+    for f in fields(train):
         _add_field_flag(p, f.name, f.default)
-    p.set_defaults(func=cmd_train_head)
 
-    p = sub.add_parser("align", help="calibrate score maps")
-    p.add_argument("--data", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "align", cmd_align, "calibrate score maps", "data", "maps", "out")
     p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
     p.add_argument("--stats", help="class-stats CSV (oracle / classifier modes)")
     p.add_argument("--model", help="head checkpoint dir (classifier / regressor modes)")
@@ -451,43 +437,33 @@ def build_parser() -> _Parser:
                         "from the head's train-head --target")
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("eval", help="image- and pixel-level metrics on the test split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "eval", cmd_eval, "image- and pixel-level metrics on the test split",
+                    "data", "maps", "out")
     p.add_argument("--top-fraction", type=_top_fraction, default=0.01,
                    help="fraction of highest pixels for the image score, or 'max'")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="aggregate CSVs and per-class score histograms")
-    p.add_argument("--data", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "report", cmd_report, "aggregate CSVs and per-class score histograms",
+                    "data", "maps", "out")
     p.add_argument("--metrics", nargs="*", help="metrics CSVs to combine")
     p.add_argument("--top-fraction", type=_top_fraction, default=0.01)
     p.add_argument("--bins", type=int, default=32)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of every head structure")
+    p = _subcommand(sub, "grad-check", cmd_grad_check,
+                    "finite-difference check of every head structure")
     p.add_argument("--channels", type=int, default=6)
     p.add_argument("--grid", type=int, default=6)
     p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--dropout", type=float, default=0.25)
-    p.add_argument("--activation", choices=("gelu", "relu"), default="gelu")
+    p.add_argument("--dropout", type=float, default=head.dropout_rate)
+    p.add_argument("--activation", choices=tuple(heads.ACTIVATIONS), default=head.activation)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("ablate", help="sweep structure x dropout x aggregation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--hidden-dim", type=int, default=heads.HeadConfig.hidden_dim)
-    p.add_argument("--iterations", type=int, default=heads.TrainConfig.iterations)
-    p.add_argument("--seed", type=int, default=heads.TrainConfig.seed)
-    p.set_defaults(func=cmd_ablate)
+    p = _subcommand(sub, "ablate", cmd_ablate, "sweep structure x dropout x aggregation",
+                    "data", "maps", "out")
+    p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
+    p.add_argument("--iterations", type=int, default=train.iterations)
+    p.add_argument("--seed", type=int, default=train.seed)
 
     return parser
 

@@ -38,20 +38,8 @@ STRUCTURES = {
 }
 
 
-@dataclass
-class ImageStats:
-    """One image's own pixel-score statistics (regression targets)."""
-
-    u: float
-    gamma: float
-    sigma: float
-
-
-def compute_image_stats(values: np.ndarray) -> ImageStats:
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty score map")
-    return ImageStats(u=float(np.mean(v)), gamma=float(np.max(v)), sigma=float(np.std(v)))
+# HeadConfig.activation name -> layer class
+ACTIVATIONS = {"gelu": net.GELU, "relu": net.ReLU}
 
 
 @dataclass
@@ -59,7 +47,7 @@ class HeadConfig:
     structure: str = "1conv+2lin"    # a STRUCTURES name
     hidden_dim: int = 256
     dropout_rate: float = 0.25
-    activation: str = "gelu"         # "gelu" | "relu"
+    activation: str = "gelu"         # an ACTIVATIONS name
     target: str = "meanmax"          # "meanmax" | "meanstd" (regressor only)
     alpha: float = 0.1               # smooth-L1 threshold, normalized target space
 
@@ -69,7 +57,7 @@ class HeadConfig:
                              f"expected one of {sorted(STRUCTURES)}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.activation not in ("gelu", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.target not in ("meanmax", "meanstd"):
             raise ValueError(f"unknown target {self.target!r}")
@@ -126,7 +114,7 @@ def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Netw
     """
     cfg.validate()
     n_conv, n_linear = STRUCTURES[cfg.structure]
-    act = net.GELU if cfg.activation == "gelu" else net.ReLU
+    act = ACTIVATIONS[cfg.activation]
     layers: list[net.Layer] = []
     for _ in range(n_conv):
         layers.append(net.Conv3x3(in_channels, in_channels, rng))
@@ -259,10 +247,11 @@ def train_regressor(
     if missing:
         raise ValueError(f"missing score maps for {missing[:5]}")
 
+    spread = np.max if head_cfg.target == "meanmax" else np.std
     targets = np.empty((len(ids), 2))
     for row, image_id in enumerate(ids):
-        st = compute_image_stats(score_maps[image_id])
-        targets[row] = (st.u, st.gamma) if head_cfg.target == "meanmax" else (st.u, st.sigma)
+        v = np.asarray(score_maps[image_id], dtype=np.float64).ravel()
+        targets[row] = np.mean(v), spread(v)
     t_offset = targets.mean(axis=0)
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale

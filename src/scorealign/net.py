@@ -215,18 +215,11 @@ def smooth_l1(y_hat, y, alpha):
 
 
 def cross_entropy(logits, true_class):
-    """Softmax cross-entropy with max-shift stabilization.
-
-    Accepts a single logit vector [k] or a batch [N, k]; gradient is
-    softmax - onehot.
+    """Softmax cross-entropy with max-shift stabilization over a batch of
+    logits [N, k] and class indices [N]; the gradient is softmax - onehot.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    squeeze = logits.ndim == 1
-    if squeeze:
-        logits = logits[None, :]
-        true_class = np.asarray([true_class])
-    else:
-        true_class = np.asarray(true_class)
+    true_class = np.asarray(true_class)
     n, k = logits.shape
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
@@ -238,8 +231,6 @@ def cross_entropy(logits, true_class):
     loss = -log_p[np.arange(n), true_class]
     grad = np.exp(log_p)
     grad[np.arange(n), true_class] -= 1.0
-    if squeeze:
-        return loss[0], grad[0]
     return loss, grad
 
 
@@ -247,9 +238,9 @@ def cross_entropy(logits, true_class):
 class SGD:
     """SGD with momentum and coupled L2 weight decay."""
 
-    lr: float = 5e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    lr: float
+    momentum: float
+    weight_decay: float
     _velocity: dict = field(default_factory=dict)
 
     def __post_init__(self):

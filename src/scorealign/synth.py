@@ -15,7 +15,7 @@ so generation is order-independent and reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,31 +49,25 @@ class SynthConfig:
     def validate(self):
         if self.k_classes < 2:
             raise ValueError("k_classes must be >= 2")
+        h, w = self.grid
+        if min(h, w) < 1:
+            raise ValueError(f"grid sides must be >= 1, got {self.grid}")
+        if self.feat_dim < 1:
+            raise ValueError(f"feat_dim must be >= 1, got {self.feat_dim}")
         if self.spread_range[0] <= 0 or self.spread_range[1] < self.spread_range[0]:
             raise ValueError(f"bad spread_range {self.spread_range}")
         lo, hi = self.anomaly_area_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(f"bad anomaly_area_range {self.anomaly_area_range}")
+        # the same inclusive area-fraction test _sample_rectangle applies to a draw
+        if not any(lo <= rh * rw / (h * w) <= hi
+                   for rh in range(1, h + 1) for rw in range(1, w + 1)):
+            raise ValueError(f"no rectangle on grid {self.grid} has an area fraction "
+                             f"inside anomaly_area_range {self.anomaly_area_range}")
         if min(self.train_normal, self.test_normal, self.test_anomalous) < 1:
             raise ValueError("image counts must be >= 1")
         if self.train_noise < 0:
             raise ValueError("train_noise must be >= 0")
-
-
-@dataclass
-class Coreset:
-    """Memory bank of normal feature vectors; anomaly score is the distance
-    to the nearest member."""
-
-    points: np.ndarray  # [M, feat_dim]
-    per_image_count: int
-    _tree: cKDTree = field(default=None, repr=False, compare=False)
-
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
 
 
 def _sample_rectangle(rng, h, w, area_range):
@@ -170,8 +164,9 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     return manifest
 
 
-def fit_coreset(features: Mapping[str, np.ndarray], m_per_image: int, seed: int = 0) -> Coreset:
-    """Uniformly subsample m_per_image grid locations per training image."""
+def fit_coreset(features: Mapping[str, np.ndarray], m_per_image: int, seed: int = 0) -> np.ndarray:
+    """The memory bank of normal feature vectors, [M, feat_dim] float64:
+    m_per_image uniformly subsampled grid locations per training image."""
     if not features:
         raise ValueError("empty training set")
     chunks = []
@@ -185,11 +180,11 @@ def fit_coreset(features: Mapping[str, np.ndarray], m_per_image: int, seed: int 
         flat = feats.reshape(d, n_loc).T
         idx = rng.permutation(n_loc)[:m_per_image]
         chunks.append(flat[np.sort(idx)])
-    return Coreset(points=np.concatenate(chunks), per_image_count=m_per_image)
+    return np.concatenate(chunks)
 
 
-def score_knn(features: Sequence[np.ndarray], coreset: Coreset) -> list[np.ndarray]:
-    """Per-location Euclidean distance to the nearest coreset point: one [H, W]
+def score_knn(features: Sequence[np.ndarray], tree: cKDTree) -> list[np.ndarray]:
+    """Per-location Euclidean distance to the nearest memory-bank point: one [H, W]
     map per [D, H, W] tensor; grids may differ. All rows go to one tree query
     on every CPU. Each row is answered on its own, so the maps are
     byte-identical to one single-threaded query per image."""
@@ -197,28 +192,25 @@ def score_knn(features: Sequence[np.ndarray], coreset: Coreset) -> list[np.ndarr
     for f in features:
         feats = np.asarray(f, dtype=np.float64)
         d, h, w = feats.shape
-        if d != coreset.points.shape[1]:
-            raise ValueError(f"feature dim {d} != coreset dim {coreset.points.shape[1]}")
+        if d != tree.m:
+            raise ValueError(f"feature dim {d} != coreset dim {tree.m}")
         rows.append(feats.reshape(d, h * w).T)
         shapes.append((h, w))
-    dist, _ = coreset.tree.query(np.concatenate(rows), workers=-1)
+    dist, _ = tree.query(np.concatenate(rows), workers=-1)
     ends = np.cumsum([h * w for h, w in shapes])[:-1]
     return [part.reshape(shape) for part, shape in zip(np.split(dist, ends), shapes)]
 
 
-def save_coreset(coreset: Coreset, out_dir) -> None:
+def save_coreset(points: np.ndarray, m_per_image: int, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "points.adt", coreset.points.astype(np.float64))
+    write_tensor(out_dir / "points.adt", np.asarray(points, dtype=np.float64))
     with open(out_dir / "coreset.json", "w") as f:
-        json.dump({"per_image_count": coreset.per_image_count,
-                   "n_points": int(coreset.points.shape[0])}, f, indent=2)
+        json.dump({"per_image_count": m_per_image,
+                   "n_points": int(points.shape[0])}, f, indent=2)
         f.write("\n")
 
 
-def load_coreset(in_dir) -> Coreset:
-    in_dir = Path(in_dir)
-    points = read_tensor(in_dir / "points.adt")
-    with open(in_dir / "coreset.json") as f:
-        meta = json.load(f)
-    return Coreset(points=points, per_image_count=meta["per_image_count"])
+def load_coreset(in_dir) -> cKDTree:
+    """The k-d tree over the saved memory bank; score_knn queries it."""
+    return cKDTree(read_tensor(Path(in_dir) / "points.adt"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -98,16 +98,10 @@ class ImageEntry:
     label: str
     class_id: Optional[int] = None
     feature_path: Optional[str] = None
-    score_path: Optional[str] = None
     mask_path: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {"image_id": self.image_id, "split": self.split, "label": self.label}
-        for key in ("class_id", "feature_path", "score_path", "mask_path"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -130,7 +124,7 @@ class DatasetManifest:
     def resolve(self, rel_path: str) -> Path:
         return self.root / rel_path
 
-    def validate(self, check_files: bool = False) -> None:
+    def validate(self) -> None:
         seen: set[str] = set()
         for e in self.images:
             if e.image_id in seen:
@@ -146,18 +140,11 @@ class DatasetManifest:
                 )
             if e.mask_path is not None and e.label != "anomalous":
                 raise ManifestError(f"{e.image_id}: mask_path on a normal image")
-            if check_files:
-                for key in ("feature_path", "score_path", "mask_path"):
-                    rel = getattr(e, key)
-                    if rel is not None and not self.resolve(rel).is_file():
-                        raise ManifestError(f"{e.image_id}: dangling {key} {rel!r}")
 
 
-def read_manifest(path, check_files: bool = False) -> DatasetManifest:
-    """Read and validate a JSON manifest.
-
-    With `check_files` every referenced tensor file must exist (eager mode).
-    """
+def read_manifest(path) -> DatasetManifest:
+    """Read and validate a JSON manifest. Referenced files are not opened:
+    the stage that reads one fails on it if it is missing."""
     path = Path(path)
     with open(path) as f:
         doc = json.load(f)
@@ -165,10 +152,7 @@ def read_manifest(path, check_files: bool = False) -> DatasetManifest:
         raise ManifestError(f"{path}: expected an object with an 'images' list")
     images = []
     for rec in doc["images"]:
-        unknown = set(rec) - {
-            "image_id", "split", "label", "class_id",
-            "feature_path", "score_path", "mask_path",
-        }
+        unknown = set(rec) - {f.name for f in fields(ImageEntry)}
         if unknown:
             raise ManifestError(f"{path}: unknown manifest fields {sorted(unknown)}")
         try:
@@ -176,7 +160,7 @@ def read_manifest(path, check_files: bool = False) -> DatasetManifest:
         except TypeError as exc:
             raise ManifestError(f"{path}: bad image record {rec}: {exc}") from exc
     manifest = DatasetManifest(images=images, root=path.parent)
-    manifest.validate(check_files=check_files)
+    manifest.validate()
     return manifest
 
 

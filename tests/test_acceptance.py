@@ -15,7 +15,14 @@ from conftest import record_criterion
 from test_metrics import ap_brute_force, auroc_pair_counting
 
 from scorealign import heads, net
-from scorealign.align import ScoreMap, fit_class_stats, normalize_meanmax, normalize_meanstd
+from scorealign.align import (
+    ClassStats,
+    align_maps,
+    class_scales,
+    fit_class_stats,
+    normalize_meanmax,
+    scale_by_class,
+)
 from scorealign.cli import main
 from scorealign.metrics import auroc, average_precision, image_score
 from scorealign.net import smooth_l1
@@ -87,8 +94,7 @@ def _mixed_macro(csv_path):
 def _fit_train_stats(bench):
     by_class = {}
     for e in bench["manifest"].split("train"):
-        by_class.setdefault(e.class_id, []).append(
-            ScoreMap(e.image_id, bench["train_maps"][e.image_id]))
+        by_class.setdefault(e.class_id, []).append(bench["train_maps"][e.image_id])
     return by_class, fit_class_stats(by_class)
 
 
@@ -167,7 +173,7 @@ def test_criterion_04_within_class_rank_preservation(bench):
         raw_pix, aligned_pix, pix_labels = [], [], []
         for e in entries:
             values = bench["test_maps"][e.image_id]
-            aligned = normalize_meanmax(ScoreMap(e.image_id, values), st.u, st.gamma).values
+            aligned = normalize_meanmax(values, st.u, st.gamma)
             raw_scores.append(image_score(values, 0.01))
             aligned_scores.append(image_score(aligned, 0.01))
             labels.append(1 if e.label == "anomalous" else 0)
@@ -234,10 +240,12 @@ def test_criterion_07_variant_equivalence():
                             size=(16, 16))
         u = float(rng.normal())
         sigma = float(rng.uniform(0.0, 5.0))
-        smap = ScoreMap(f"m{i}", values)
-        a = normalize_meanstd(smap, u, sigma)
-        b = normalize_meanmax(smap, u, u + 3.0 * sigma)
-        assert a.values.tobytes() == b.values.tobytes()
+        # the path `align --variant meanstd` takes
+        stats = [ClassStats(0, u, 0.0, sigma, 1, values.size)]
+        scale_of = scale_by_class(class_scales(stats, "meanstd"), lambda _: 0)
+        a = align_maps({f"m{i}": values}, scale_of)[f"m{i}"]
+        b = normalize_meanmax(values, u, u + 3.0 * sigma)
+        assert a.tobytes() == b.tobytes()
     _pass(7, "meanstd == meanmax with gamma = u + 3*sigma, bitwise, 100 random maps")
 
 

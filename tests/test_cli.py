@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scorealign import cli, synth
-from scorealign.align import ScoreMap, normalize_meanmax, read_stats_csv
+from scorealign.align import normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
     HeadConfig,
@@ -50,8 +50,11 @@ def pipeline(tmp_path_factory):
 
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
-        man = read_manifest(pipeline / "data" / "manifest.json", check_files=True)
+        man = read_manifest(pipeline / "data" / "manifest.json")
         assert len(man) == 3 * (12 + 6 + 6)
+        for e in man.images:
+            for rel in (e.feature_path, e.mask_path):
+                assert rel is None or man.resolve(rel).is_file()
         assert (pipeline / "coreset" / "points.adt").is_file()
         assert (pipeline / "stats.csv").read_text().startswith("class_id,")
         for e in man.split("test"):
@@ -164,8 +167,8 @@ class TestAlignSources:
         for e in man.split("test"):
             features = read_tensor(man.resolve(e.feature_path))
             u, gamma = _expected_scale(pipeline, mode, variant, e, features)
-            raw = ScoreMap(e.image_id, read_tensor(pipeline / "maps" / f"{e.image_id}.adt"))
-            expected = normalize_meanmax(raw, u, gamma).values
+            raw = read_tensor(pipeline / "maps" / f"{e.image_id}.adt")
+            expected = normalize_meanmax(raw, u, gamma)
             assert read_tensor(out / f"{e.image_id}.adt").tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode,extra", [
@@ -211,9 +214,9 @@ class TestScoreCommand:
         chunks = []
         score_knn = synth.score_knn
 
-        def recording(features, coreset):
+        def recording(features, tree):
             chunks.append(len(features))
-            return score_knn(features, coreset)
+            return score_knn(features, tree)
 
         monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(synth, "score_knn", recording)
@@ -297,6 +300,37 @@ class TestExitCodes:
         assert main(["score", "--data", str(data), "--coreset", str(pipeline / "coreset"),
                      "--out", str(out)]) == 2
         assert f"{last_train['image_id']}: no feature_path" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["fit-base"], ["score", "--coreset", "{root}/coreset"]],
+                             ids=["fit-base", "score"])
+    def test_missing_feature_file_is_data_error(self, pipeline, tmp_path, capsys, argv):
+        doc = json.loads((pipeline / "data" / "manifest.json").read_text())
+        for rec in doc["images"]:
+            rec["feature_path"] = str(pipeline / "data" / rec["feature_path"])
+        missing = tmp_path / "gone.adt"
+        doc["images"][0]["feature_path"] = str(missing)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(doc))
+        argv = [a.format(root=pipeline) for a in argv]
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--grid-h", "2", "--grid-w", "2"], "anomaly_area_range"),
+        (["--area-min", "0.3", "--area-max", "0.35"], "anomaly_area_range"),
+        (["--grid-h", "0"], "grid"),
+        (["--grid-w", "-1"], "grid"),
+        (["--feat-dim", "0"], "feat_dim"),
+    ], ids=["grid-2x2", "area-between-fractions", "grid-h-0", "grid-w-neg", "feat-dim-0"])
+    def test_gen_unusable_config_is_data_error_before_writing(
+            self, tmp_path, capsys, flags, field):
+        out = tmp_path / "data"
+        assert main(["gen", "--out", str(out), "--grid-h", "4", "--grid-w", "4",
+                     "--k-classes", "2", "--train-normal", "1", "--test-normal", "1",
+                     "--test-anomalous", "1"] + flags) == 2
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     def test_align_with_untrained_checkpoint_names_missing_file(self, pipeline, capsys):
@@ -397,6 +431,12 @@ class TestFlagDefaults:
     def test_train_head_defaults_are_the_config_defaults(self):
         checked = _config_defaults_checked(["train-head", "--data", "d", "--out", "o"])
         assert checked == {f.name for f in fields(HeadConfig) + fields(TrainConfig)}
+
+    def test_grad_check_defaults_are_the_config_defaults(self):
+        parsed = build_parser().parse_args(["grad-check"])
+        assert (parsed.dropout, parsed.activation) == (HeadConfig.dropout_rate,
+                                                       HeadConfig.activation)
+        assert type(parsed.dropout) is float
 
     def test_ablate_defaults_are_the_config_defaults(self):
         checked = _config_defaults_checked(["ablate", "--data", "d", "--maps", "m",

@@ -5,10 +5,9 @@ from scorealign import net
 from scorealign.align import (
     ClassStats,
     DegenerateScaleWarning,
-    ScoreMap,
     align_maps,
     class_scales,
-    normalize_meanstd,
+    normalize_meanmax,
     scale_by_class,
 )
 from scorealign.heads import (
@@ -17,7 +16,6 @@ from scorealign.heads import (
     HeadModel,
     TrainConfig,
     build_head,
-    compute_image_stats,
     load_checkpoint,
     predict_class,
     predict_stats,
@@ -66,14 +64,20 @@ def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None)
 
 class TestImageStats:
     def test_worked_example(self):
-        st = compute_image_stats(np.array([[0.0, 2.0], [1.0, 3.0]]))
-        assert st.u == 1.5
-        assert st.gamma == 3.0
-        assert st.sigma == pytest.approx(np.std([0, 1, 2, 3]), abs=1e-15)
+        """A regressor's targets are its images' own (mean, max) or (mean,
+        std) pixel scores; one image's targets are their own mean."""
+        feats = {"a": np.zeros((DIM, 2, 2), dtype=np.float32)}
+        maps = {"a": np.array([[0.0, 2.0], [1.0, 3.0]])}
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_image_stats(np.empty((0,)))
+        def targets(target):
+            cfg = HeadConfig(structure="1lin", target=target)
+            return train_regressor(feats, maps, cfg, TrainConfig(iterations=1)).target_offset
+
+        u, gamma = targets("meanmax")
+        u2, sigma = targets("meanstd")
+        assert u == u2 == 1.5
+        assert gamma == 3.0
+        assert sigma == pytest.approx(np.std([0, 1, 2, 3]), abs=1e-15)
 
 
 class TestBuildHead:
@@ -268,8 +272,8 @@ class TestClassifier:
         assert predict_class(model, np.zeros((DIM, *GRID), dtype=np.float32)) == 2
 
 
-def _align_one(smap, scale_of):
-    (out,) = align_maps([smap], scale_of)
+def _align_one(values, scale_of):
+    (out,) = align_maps({"a": values}, scale_of).values()
     return out
 
 
@@ -284,48 +288,46 @@ def _classifier_scale_of(model, stats, features):
 
 class TestCalibrate:
     def test_identity_stats(self):
-        m = _align_one(ScoreMap("a", np.array([0.1, 0.7])), lambda _: (0.0, 1.0))
-        assert np.array_equal(m.values, [0.1, 0.7])
+        m = _align_one(np.array([0.1, 0.7]), lambda _: (0.0, 1.0))
+        assert np.array_equal(m, [0.1, 0.7])
 
     def test_worked_example(self):
-        m = _align_one(ScoreMap("a", np.array([0.2, 0.4, 0.6])), lambda _: (0.2, 0.6))
-        assert np.allclose(m.values, [0.0, 0.5, 1.0])
+        m = _align_one(np.array([0.2, 0.4, 0.6]), lambda _: (0.2, 0.6))
+        assert np.allclose(m, [0.0, 0.5, 1.0])
 
     def test_regressor_calibration_matches_predicted_stats(self):
         model = _const_model([1.0, 3.0])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
-        smap = ScoreMap("a", np.full(GRID, 2.0))
-        out = _align_one(smap, _regressor_scale_of(model, f))
-        assert np.allclose(out.values, (2.0 - 1.0) / (3.0 - 1.0))
+        out = _align_one(np.full(GRID, 2.0), _regressor_scale_of(model, f))
+        assert np.allclose(out, (2.0 - 1.0) / (3.0 - 1.0))
 
     def test_meanstd_regressor_uses_sigma(self):
         model = _const_model([1.0, 0.5], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
-        smap = ScoreMap("a", np.full(GRID, 2.5))
-        out = _align_one(smap, _regressor_scale_of(model, f))
-        ref = normalize_meanstd(smap, 1.0, 0.5)
-        assert out.values.tobytes() == ref.values.tobytes()
+        values = np.full(GRID, 2.5)
+        out = _align_one(values, _regressor_scale_of(model, f))
+        ref = normalize_meanmax(values, 1.0, 1.0 + 3.0 * 0.5)
+        assert out.tobytes() == ref.tobytes()
 
     def test_negative_predicted_sigma_clamped(self):
         model = _const_model([1.0, -2.0], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.warns(DegenerateScaleWarning):
-            _align_one(ScoreMap("a", np.full(GRID, 2.0)), _regressor_scale_of(model, f))
+            _align_one(np.full(GRID, 2.0), _regressor_scale_of(model, f))
 
     def test_classifier_calibration_selects_class_stats(self):
         model = _const_model([0.0, 5.0], class_labels=[0, 1])
         stats = [ClassStats(0, 0.0, 1.0, 0.3, 1, 4),
                  ClassStats(1, 10.0, 20.0, 3.0, 1, 4)]
         f = np.zeros((DIM, *GRID), dtype=np.float32)
-        out = _align_one(ScoreMap("a", np.full(GRID, 15.0)),
-                         _classifier_scale_of(model, stats, f))
-        assert np.allclose(out.values, 0.5)  # (15-10)/(20-10): class-1 stats
+        out = _align_one(np.full(GRID, 15.0), _classifier_scale_of(model, stats, f))
+        assert np.allclose(out, 0.5)  # (15-10)/(20-10): class-1 stats
 
     def test_classifier_missing_stats_rejected(self):
         model = _const_model([5.0, 0.0], class_labels=[3, 4])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
         with pytest.raises(KeyError, match="class 3"):
-            _align_one(ScoreMap("a", np.ones(2)), _classifier_scale_of(model, [], f))
+            _align_one(np.ones(2), _classifier_scale_of(model, [], f))
 
 
 class TestCheckpoint:

@@ -246,17 +246,17 @@ class TestSmoothL1:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = cross_entropy(np.zeros(4), 2)
-        assert loss == pytest.approx(np.log(4.0), abs=1e-12)
+        loss, _ = cross_entropy(np.zeros((1, 4)), [2])
+        assert loss[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_confident_correct(self):
-        logits = np.array([100.0, 0.0, 0.0])
-        loss, _ = cross_entropy(logits, 0)
-        assert loss < 1e-12
+        logits = np.array([[100.0, 0.0, 0.0]])
+        loss, _ = cross_entropy(logits, [0])
+        assert loss[0] < 1e-12
 
     def test_large_logits_stable(self):
-        loss, grad = cross_entropy(np.array([1000.0, 999.0]), 1)
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        loss, grad = cross_entropy(np.array([[1000.0, 999.0]]), [1])
+        assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(8)
@@ -266,22 +266,22 @@ class TestCrossEntropy:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        logits = rng.normal(size=5)
-        _, grad = cross_entropy(logits, 3)
+        logits = rng.normal(size=(1, 5))
+        _, grad = cross_entropy(logits, [3])
         eps = 1e-7
         for i in range(5):
-            lp = logits.copy(); lp[i] += eps
-            lm = logits.copy(); lm[i] -= eps
-            num = (cross_entropy(lp, 3)[0] - cross_entropy(lm, 3)[0]) / (2 * eps)
-            assert grad[i] == pytest.approx(num, abs=1e-6)
+            lp = logits.copy(); lp[0, i] += eps
+            lm = logits.copy(); lm[0, i] -= eps
+            num = (cross_entropy(lp, [3])[0][0] - cross_entropy(lm, [3])[0][0]) / (2 * eps)
+            assert grad[0, i] == pytest.approx(num, abs=1e-6)
 
     def test_out_of_range_class(self):
         with pytest.raises(ValueError, match="range"):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros((1, 3)), [3])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            cross_entropy(np.zeros(1), 0)
+            cross_entropy(np.zeros((1, 1)), [0])
 
 
 class TestSGD:
@@ -308,20 +308,20 @@ class TestSGD:
     def test_grad_cleared_after_step(self):
         p = Param(np.array([1.0]))
         p.grad[...] = 0.5
-        SGD(lr=0.1).step([p])
+        SGD(lr=0.1, momentum=0.9, weight_decay=1e-4).step([p])
         assert np.array_equal(p.grad, [0.0])
 
     def test_non_finite_gradient_raises(self):
         p = Param(np.array([1.0]))
         p.grad[...] = np.nan
         with pytest.raises(NumericalError):
-            SGD().step([p])
+            SGD(lr=5e-2, momentum=0.9, weight_decay=1e-4).step([p])
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
-            SGD(lr=0.0)
+            SGD(lr=0.0, momentum=0.9, weight_decay=1e-4)
         with pytest.raises(ValueError):
-            SGD(momentum=1.0)
+            SGD(lr=5e-2, momentum=1.0, weight_decay=1e-4)
 
 
 def _scalar_smooth_l1(target):

@@ -10,7 +10,6 @@ from scipy.spatial import cKDTree
 
 from scorealign.metrics import evaluate
 from scorealign.synth import (
-    Coreset,
     SynthConfig,
     fit_coreset,
     generate,
@@ -130,10 +129,10 @@ class TestCoreset:
     def test_full_sampling_keeps_every_location(self):
         rng = np.random.default_rng(0)
         feats = {"a": rng.normal(size=(4, 3, 3)).astype(np.float32)}
-        core = fit_coreset(feats, m_per_image=9)
-        assert core.points.shape == (9, 4)
+        points = fit_coreset(feats, m_per_image=9)
+        assert points.shape == (9, 4)
         flat = np.asarray(feats["a"], dtype=np.float64).reshape(4, 9).T
-        assert np.array_equal(np.sort(core.points, axis=0), np.sort(flat, axis=0))
+        assert np.array_equal(np.sort(points, axis=0), np.sort(flat, axis=0))
 
     def test_seeded_subsampling_reproducible(self):
         rng = np.random.default_rng(1)
@@ -142,9 +141,9 @@ class TestCoreset:
         a = fit_coreset(feats, 8, seed=3)
         b = fit_coreset(feats, 8, seed=3)
         c = fit_coreset(feats, 8, seed=4)
-        assert a.points.tobytes() == b.points.tobytes()
-        assert a.points.tobytes() != c.points.tobytes()
-        assert a.points.shape == (40, 4)
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
+        assert a.shape == (40, 4)
 
     def test_invalid_m_rejected(self):
         feats = {"a": np.zeros((4, 3, 3), dtype=np.float32)}
@@ -158,28 +157,28 @@ class TestCoreset:
     def test_score_of_member_is_zero(self):
         rng = np.random.default_rng(2)
         feats = {"a": rng.normal(size=(4, 3, 3)).astype(np.float32)}
-        core = fit_coreset(feats, m_per_image=9)
-        scores = score_knn([feats["a"]], core)[0]
+        tree = cKDTree(fit_coreset(feats, m_per_image=9))
+        scores = score_knn([feats["a"]], tree)[0]
         assert np.allclose(scores, 0.0, atol=1e-7)
 
     def test_three_four_five_distance(self):
-        core = Coreset(points=np.array([[0.0, 0.0]]), per_image_count=1)
+        tree = cKDTree(np.array([[0.0, 0.0]]))
         query = np.array([3.0, 4.0]).reshape(2, 1, 1)
-        assert score_knn([query], core)[0][0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert score_knn([query], tree)[0][0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_dim_mismatch_rejected(self):
-        core = Coreset(points=np.zeros((3, 2)), per_image_count=3)
         with pytest.raises(ValueError, match="dim"):
-            score_knn([np.zeros((4, 2, 2))], core)
+            score_knn([np.zeros((4, 2, 2))], cKDTree(np.zeros((3, 2))))
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         feats = {"a": rng.normal(size=(4, 4, 4)).astype(np.float32)}
-        core = fit_coreset(feats, 6)
-        save_coreset(core, tmp_path)
+        points = fit_coreset(feats, 6)
+        save_coreset(points, 6, tmp_path)
         back = load_coreset(tmp_path)
-        assert back.points.tobytes() == core.points.tobytes()
-        assert back.per_image_count == 6
+        assert back.data.tobytes() == points.tobytes()
+        meta = json.loads((tmp_path / "coreset.json").read_text())
+        assert meta == {"per_image_count": 6, "n_points": 6}
 
 
 # small integers make duplicate points and equidistant neighbours common
@@ -208,7 +207,7 @@ class TestScoreKnnBatch:
     @given(coreset_and_images())
     def test_equals_single_threaded_query_per_image(self, case):
         points, images = case
-        maps = score_knn(images, Coreset(points=points, per_image_count=1))
+        maps = score_knn(images, cKDTree(points))
         assert len(maps) == len(images)
         for smap, img in zip(maps, images):
             d, h, w = img.shape
@@ -217,9 +216,8 @@ class TestScoreKnnBatch:
             assert smap.tobytes() == want.reshape(h, w).tobytes()
 
     def test_dim_mismatch_in_any_image_rejected(self):
-        core = Coreset(points=np.zeros((3, 2)), per_image_count=3)
         with pytest.raises(ValueError, match="dim"):
-            score_knn([np.zeros((2, 2, 2)), np.zeros((4, 1, 1))], core)
+            score_knn([np.zeros((2, 2, 2)), np.zeros((4, 1, 1))], cKDTree(np.zeros((3, 2))))
 
 
 class TestScaleMismatchMechanism:
@@ -232,8 +230,8 @@ class TestScaleMismatchMechanism:
         man = generate(cfg, tmp_path)
         train = _load_features(man, "train")
         test = _load_features(man, "test")
-        core = fit_coreset(train, 16, seed=0)
-        maps = {i: score_knn([f], core)[0] for i, f in test.items()}
+        tree = cKDTree(fit_coreset(train, 16, seed=0))
+        maps = {i: score_knn([f], tree)[0] for i, f in test.items()}
         masks = {e.image_id: read_tensor(man.resolve(e.mask_path))
                  for e in man.split("test") if e.mask_path}
         reports = evaluate(man, maps, masks)

@@ -134,20 +134,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="mask"):
             m.validate()
 
-    def test_dangling_reference_eager(self, tmp_path):
-        m = _manifest([ImageEntry("a", "train", "normal", feature_path="nope.adt")])
-        path = tmp_path / "manifest.json"
-        write_manifest(path, m)
-        read_manifest(path)  # lazy: fine
-        with pytest.raises(ManifestError, match="dangling"):
-            read_manifest(path, check_files=True)
-
-    def test_eager_passes_when_files_exist(self, tmp_path):
-        write_tensor(tmp_path / "a.adt", np.ones(2))
-        m = _manifest([ImageEntry("a", "train", "normal", feature_path="a.adt")])
-        path = tmp_path / "manifest.json"
-        write_manifest(path, m)
-        read_manifest(path, check_files=True)
+    def test_score_path_is_an_unknown_field(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"images": [{"image_id": "a", "split": "train", '
+                        '"label": "normal", "score_path": "a.adt"}]}')
+        with pytest.raises(ManifestError, match="unknown manifest fields.*score_path"):
+            read_manifest(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "m.json"

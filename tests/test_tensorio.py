@@ -134,6 +134,16 @@ class TestManifest:
         with pytest.raises(ManifestError, match="mask"):
             m.validate()
 
+    def test_eager_passes_when_files_exist(self, tmp_path):
+        write_tensor(tmp_path / "a.adt", np.ones(2))
+        m = _manifest([ImageEntry("a", "train", "normal", feature_path="a.adt")])
+        path = tmp_path / "manifest.json"
+        write_manifest(path, m)
+        back = read_manifest(path)
+        feature = back.resolve(back.images[0].feature_path)
+        assert feature == tmp_path / "a.adt"
+        assert np.array_equal(read_tensor(feature), np.ones(2))
+
     def test_score_path_is_an_unknown_field(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"images": [{"image_id": "a", "split": "train", '

@@ -105,15 +105,35 @@ def _synth_config_from_args(args) -> synth.SynthConfig:
     })
 
 
+def _json_kind(default) -> str:
+    """The JSON type a gen --config value must have: that of its SynthConfig default."""
+    if isinstance(default, tuple):
+        return f"a list of {len(default)} {'integers' if type(default[0]) is int else 'numbers'}"
+    return "an integer" if type(default) is int else "a number"
+
+
+def _json_matches(value, default) -> bool:
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_json_matches, value, default)))
+    allowed = int if type(default) is int else (int, float)
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
 def cmd_gen(args) -> int:
     if args.config:
         with open(args.config) as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: expected a JSON object of SynthConfig fields")
-        unknown = sorted(set(raw) - {f.name for f in fields(synth.SynthConfig)})
+        defaults = {f.name: f.default for f in fields(synth.SynthConfig)}
+        unknown = sorted(set(raw) - set(defaults))
         if unknown:
             raise ValueError(f"{args.config}: unknown SynthConfig keys {unknown}")
+        for key, value in raw.items():
+            if not _json_matches(value, defaults[key]):
+                raise ValueError(f"{args.config}: {key} must be {_json_kind(defaults[key])}, "
+                                 f"got {json.dumps(value)}")
         cfg = synth.SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
                                    for k, v in raw.items()})
     else:
@@ -316,6 +336,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    for flag in ("channels", "grid"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     rng = np.random.default_rng(args.seed)
     in_channels, h, w = args.channels, args.grid, args.grid
     worst = 0.0

@@ -3,8 +3,11 @@
 Layers pass float64 batches ([N, C, H, W] for spatial layers, [N, F]
 after pooling) and carry their own analytic backward. The only convolution
 is 3x3 / stride 1 / zero padding 1, all the heads need; inside, it is one
-2-D matrix product per kernel offset. Training is bitwise reproducible on
-one host given (seed, data order, hyperparameters).
+2-D matrix product per kernel offset. `Network.backward` stops at the
+deepest layer with parameters and asks it for its parameter gradients
+only (`Layer.param_backward`): its input is data, so nothing reads its
+input gradient. Training is bitwise reproducible on one host given (seed,
+data order, hyperparameters).
 """
 
 from __future__ import annotations
@@ -46,15 +49,23 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out):
+        """Accumulate parameter gradients; return d loss / d input."""
         raise NotImplementedError
+
+    def param_backward(self, grad_out):
+        """Accumulate parameter gradients only; the input gradient may be skipped."""
+        self.backward(grad_out)
 
 
 class Conv3x3(Layer):
     """3x3 cross-correlation, stride 1, zero padding 1 (spatial size preserved).
 
     Contiguous NCHW in and out. Inside, each of the 9 kernel offsets is one
-    2-D matrix product over the channels of a zero-padded channel-major copy,
-    summed into zeros in (di, dj) order, then the bias; trained bytes depend on it.
+    2-D matrix product over the channels of a window copied from a zero-padded
+    channel-major copy, summed into zeros in (di, dj) order, then the bias;
+    trained bytes depend on it. A train-mode forward keeps its 9 windows for
+    the weight gradient, which drops them after use. An eval-mode forward
+    keeps only the padded copy, so a backward after it rebuilds the windows.
     """
 
     def __init__(self, in_channels, out_channels, rng):
@@ -65,31 +76,46 @@ class Conv3x3(Layer):
     def params(self):
         return [self.w, self.b]
 
+    def _offset_windows(self):
+        """The 9 [C, N*H*W] windows of the padded copy, in (di, dj) order."""
+        xp = self._xp
+        c, _, h, w = xp.shape
+        for di in range(3):
+            for dj in range(3):
+                yield di, dj, xp[:, :, di : di + h - 2, dj : dj + w - 2].reshape(c, -1)
+
     def forward(self, x, mode="eval", rng=None):
         n, c, h, w = x.shape
         if c != self.w.value.shape[1]:
             raise ValueError(f"expected {self.w.value.shape[1]} channels, got {c}")
-        xp = self._xp = np.zeros((c, n, h + 2, w + 2))
-        xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+        self._xp = np.zeros((c, n, h + 2, w + 2))
+        self._xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+        self._windows = [] if mode == "train" else None
         y = np.zeros((self.w.value.shape[0], n * h * w))
-        for di in range(3):
-            for dj in range(3):
-                y += self.w.value[:, :, di, dj] @ xp[:, :, di : di + h, dj : dj + w].reshape(c, -1)
+        for di, dj, window in self._offset_windows():
+            y += self.w.value[:, :, di, dj] @ window
+            if self._windows is not None:
+                self._windows.append((di, dj, window))
         y += self.b.value[:, None]
         return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
+    def param_backward(self, grad_out):
+        windows = self._windows or self._offset_windows()
+        self._windows = None
+        g_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])  # [N*H*W, O]
+        for di, dj, window in windows:
+            self.w.grad[:, :, di, dj] += (window @ g_rows).T
+        self.b.grad += grad_out.sum(axis=(0, 2, 3))
+
     def backward(self, grad_out):
+        self.param_backward(grad_out)
         xp, (n, o, h, w) = self._xp, grad_out.shape
-        g_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)  # [N*H*W, O]
         g_cols = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # [O, N*H*W]
         dxp = np.zeros_like(xp)
         for di in range(3):
             for dj in range(3):
-                window = xp[:, :, di : di + h, dj : dj + w].reshape(len(xp), -1)
-                self.w.grad[:, :, di, dj] += (window @ g_rows).T
                 dxp[:, :, di : di + h, dj : dj + w] += (
                     self.w.value[:, :, di, dj].T @ g_cols).reshape(-1, n, h, w)
-        self.b.grad += grad_out.sum(axis=(0, 2, 3))
         return np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
 
 
@@ -185,12 +211,14 @@ class Network:
 
     def backward(self, grad_out):
         """Backpropagate `grad_out` (d loss / d last forward output) into every
-        parameter's grad. Returns nothing: it stops at the deepest layer with
-        parameters, since nothing reads the input gradient below it."""
-        deepest = next((i for i, layer in enumerate(self.layers) if layer.params()),
-                       len(self.layers))
-        for layer in reversed(self.layers[deepest:]):
+        parameter's grad. Returns nothing: the deepest layer with parameters
+        runs `param_backward`, since nothing reads the input gradient below it."""
+        deepest = next((i for i, layer in enumerate(self.layers) if layer.params()), None)
+        if deepest is None:
+            return
+        for layer in reversed(self.layers[deepest + 1 :]):
             grad_out = layer.backward(grad_out)
+        self.layers[deepest].param_backward(grad_out)
 
     def zero_grad(self):
         for p in self.parameters():

@@ -381,6 +381,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("config,message", [
+        ({"grid": 4}, "grid must be a list of 2 integers"),
+        ({"grid": [4, "4"]}, "grid must be a list of 2 integers"),
+        ({"k_classes": "3"}, "k_classes must be an integer"),
+        ({"k_classes": 3.0}, "k_classes must be an integer"),
+        ({"center_radius": True}, "center_radius must be a number"),
+    ], ids=["grid-int", "grid-str-side", "k-str", "k-float", "radius-bool"])
+    def test_gen_config_with_wrongly_typed_value_is_data_error(
+            self, tmp_path, capsys, config, message):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("flag", ["--channels", "--grid"])
+    def test_grad_check_nonpositive_size_is_data_error_before_any_check(self, capsys, flag):
+        assert main(["grad-check", "--hidden-dim", "4", flag, "0"]) == 2
+        out, err = capsys.readouterr()
+        assert flag in err and out == ""
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["fit-base", "--data", str(tmp_path / "void"),
                      "--out", str(tmp_path / "out")]) == 2

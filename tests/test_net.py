@@ -115,6 +115,43 @@ class TestConv3x3:
             assert rel_err(got, want) <= 1e-12
         assert y.flags.c_contiguous and dx.flags.c_contiguous
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 4), o=st.integers(1, 4),
+           h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, c=1, o=1, h=1, w=1, seed=0)
+    @example(n=1, c=3, o=2, h=1, w=4, seed=1)
+    def test_train_windows_and_param_backward_are_bitwise_backward(self, n, c, o, h, w, seed):
+        rng = np.random.default_rng(seed)
+        w0, b0 = rng.normal(size=(o, c, 3, 3)), rng.normal(size=o)
+        x = rng.normal(size=(n, c, h, w))
+        dout = rng.normal(size=(n, o, h, w))
+
+        def run(mode, method):
+            conv = Conv3x3(c, o, np.random.default_rng(0))
+            conv.w.value[...], conv.b.value[...] = w0, b0
+            y = conv.forward(x, mode=mode, rng=np.random.default_rng(1))
+            dx = getattr(conv, method)(dout)
+            return y, dx, conv.w.grad, conv.b.grad
+
+        y, dx, dw, db = run("eval", "backward")
+        for got, want in zip(run("train", "backward"), (y, dx, dw, db)):
+            assert got.tobytes() == want.tobytes()
+        for mode in ("train", "eval"):
+            got_y, none, got_dw, got_db = run(mode, "param_backward")
+            assert none is None
+            assert (got_y.tobytes(), got_dw.tobytes(), got_db.tobytes()) == (
+                y.tobytes(), dw.tobytes(), db.tobytes())
+
+    def test_backward_twice_after_one_train_forward(self):
+        rng = np.random.default_rng(3)
+        conv = Conv3x3(2, 3, rng)
+        x, dout = rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 3, 3, 4))
+        conv.forward(x, mode="train", rng=rng)
+        dx = conv.backward(dout)
+        once = conv.w.grad.copy()
+        assert np.array_equal(conv.backward(dout), dx)  # windows rebuilt from the padded copy
+        assert np.array_equal(conv.w.grad, 2 * once)
+
 
 class TestLinear:
     def test_identity_weights(self):
@@ -374,6 +411,18 @@ class TestGradCheck:
         target = rng.normal(size=(2, 3))
         assert grad_check(net, x, _scalar_smooth_l1(target)) > 1e-2
 
+    def test_detects_corrupted_param_backward_of_input_conv(self):
+        class BrokenConv(Conv3x3):
+            def param_backward(self, grad_out):
+                super().param_backward(grad_out)
+                self.w.grad *= 1.05  # deliberate 5% error
+
+        rng = np.random.default_rng(14)
+        net = Network([BrokenConv(2, 3, rng), GELU(), GlobalAvgPool(), Linear(3, 2, rng)])
+        x = rng.normal(size=(2, 2, 4, 4))
+        target = rng.normal(size=(2, 2))
+        assert grad_check(net, x, _scalar_smooth_l1(target)) > 1e-2
+
 
 class _NoBackward(Layer):
     """Parameter-free identity layer whose gradient must never be asked for."""
@@ -409,6 +458,28 @@ class TestNetworkBackward:
         assert len(got) == len(want)
         assert all(np.array_equal(a.grad, b.grad) for a, b in zip(got, want))
         assert any(np.any(p.grad != 0) for p in got)
+
+    def test_deepest_conv_gives_parameter_gradients_without_backward(self):
+        class ParamOnlyConv(Conv3x3):
+            def backward(self, grad_out):
+                raise AssertionError("input gradient of the deepest trained layer")
+
+        x = np.random.default_rng(24).normal(size=(3, 2, 4, 5))
+        dout = np.random.default_rng(25).normal(size=(3, 2))
+        rng = np.random.default_rng(26)
+        stopped = Network([ParamOnlyConv(2, 2, rng), GELU()] + self._layers(False, rng))
+        full = Network(self._layers(True, np.random.default_rng(26)))
+        stopped.forward(x, mode="train", rng=np.random.default_rng(28))
+        full.forward(x, mode="train", rng=np.random.default_rng(28))
+
+        stopped.backward(dout)
+        g = dout
+        for layer in reversed(full.layers):
+            g = layer.backward(g)
+        got, want = stopped.parameters(), full.parameters()
+        assert len(got) == len(want)
+        assert all(np.array_equal(a.grad, b.grad) for a, b in zip(got, want))
+        assert np.any(got[0].grad != 0)
 
 
 class TestDeterminism:

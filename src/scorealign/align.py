@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .tensorio import columns, read_csv
 
 Scale = tuple[float, float]  # (u, gamma) of one image or class
 
@@ -33,12 +34,6 @@ class ClassStats:
     sigma: float   # population std of all pixel scores
     n_images: int
     n_pixels: int
-
-    CSV_HEADER = "class_id,u,gamma,sigma,n_images,n_pixels"
-
-    def to_csv_row(self) -> str:
-        return (f"{self.class_id},{self.u!r},{self.gamma!r},{self.sigma!r},"
-                f"{self.n_images},{self.n_pixels}")
 
 
 def fit_class_stats(maps_by_class: Mapping[int, Sequence[np.ndarray]]) -> list[ClassStats]:
@@ -120,23 +115,20 @@ def align_maps(maps: Mapping[str, np.ndarray], scale_of: Callable[[str], Scale],
             for image_id, values in maps.items()}
 
 
-def write_stats_csv(path, stats: Sequence[ClassStats]) -> None:
-    with open(path, "w") as f:
-        f.write(ClassStats.CSV_HEADER + "\n")
-        for s in stats:
-            f.write(s.to_csv_row() + "\n")
-
-
 def read_stats_csv(path) -> list[ClassStats]:
-    stats = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != ClassStats.CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in f:
-            if not line.strip():
-                continue
-            cid, u, gamma, sigma, n_img, n_pix = line.strip().split(",")
-            stats.append(ClassStats(int(cid), float(u), float(gamma), float(sigma),
-                                    int(n_img), int(n_pix)))
-    return stats
+    """The ClassStats table `stats` writes. A repeated class_id or a non-finite
+    statistic is a ValueError naming the file and line."""
+    seen = set()
+
+    def parse(cells):
+        cid, u, gamma, sigma, n_images, n_pixels = cells
+        s = ClassStats(int(cid), float(u), float(gamma), float(sigma),
+                       int(n_images), int(n_pixels))
+        if not np.isfinite([s.u, s.gamma, s.sigma]).all():
+            raise ValueError("non-finite statistic")
+        if s.class_id in seen:
+            raise ValueError(f"repeated class_id {s.class_id}")
+        seen.add(s.class_id)
+        return s
+
+    return read_csv(path, columns(ClassStats), parse)

@@ -1,9 +1,9 @@
 """Command-line pipeline: generate, score, align, and evaluate.
 
 Subcommands communicate exclusively through files (tensors, manifests,
-CSVs, checkpoints); every run writes a resolved-config JSON next to its
-outputs for provenance. Exit codes: 0 success, 1 usage error, 2
-data/validation error, 3 numerical failure.
+CSVs, checkpoints); every subcommand that writes outputs also writes a
+resolved-config JSON next to them for provenance. Exit codes: 0 success,
+1 usage error, 2 data/validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,14 @@ from .tensorio import (
     ImageEntry,
     ManifestError,
     TensorFormatError,
+    columns,
+    csv_row,
+    read_csv,
+    read_json,
     read_manifest,
     read_tensor,
+    write_csv,
+    write_json,
     write_tensor,
 )
 
@@ -40,12 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_run_config(out: Path, args: argparse.Namespace) -> None:
-    out.parent.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v)
-                for k, v in vars(args).items() if k != "func"}
-    with open(out, "w") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
-        f.write("\n")
+                for k, v in sorted(vars(args).items()) if k != "func"}
+    write_json(out, resolved)
 
 
 def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
@@ -122,8 +125,7 @@ def _json_matches(value, default) -> bool:
 
 def cmd_gen(args) -> int:
     if args.config:
-        with open(args.config) as f:
-            raw = json.load(f)
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: expected a JSON object of SynthConfig fields")
         defaults = {f.name: f.default for f in fields(synth.SynthConfig)}
@@ -150,7 +152,7 @@ def cmd_fit_base(args) -> int:
     features = _load_features(manifest, "train")
     points = synth.fit_coreset(features, args.m_per_image, seed=args.seed)
     out_dir = Path(args.out)
-    synth.save_coreset(points, args.m_per_image, out_dir)
+    synth.save_coreset(points, out_dir)
     _write_run_config(out_dir / "run_config.json", args)
     print(f"coreset with {points.shape[0]} points -> {out_dir}")
     return 0
@@ -195,7 +197,7 @@ def cmd_stats(args) -> int:
     stats = align_mod.fit_class_stats(by_class)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    align_mod.write_stats_csv(out, stats)
+    write_csv(out, columns(align_mod.ClassStats), map(astuple, stats))
     _write_run_config(out.with_suffix(".config.json"), args)
     print(f"fitted stats for {len(stats)} classes -> {out}")
     return 0
@@ -245,7 +247,7 @@ def cmd_align(args) -> int:
     elif args.mode == "classifier":
         if args.model is None or args.stats is None:
             raise UsageError("align --mode classifier needs --model and --stats")
-        model = _load_model(args.model)
+        model = heads.load_checkpoint(args.model)
         scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
         features = _load_features(manifest, args.split)
         scale_of = align_mod.scale_by_class(
@@ -253,7 +255,7 @@ def cmd_align(args) -> int:
     else:  # regressor; argparse admits no other mode
         if args.model is None:
             raise UsageError("align --mode regressor needs --model")
-        model = _load_model(args.model)
+        model = heads.load_checkpoint(args.model)
         features = _load_features(manifest, args.split)
 
         def scale_of(image_id):
@@ -269,13 +271,6 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _load_model(path) -> heads.HeadModel:
-    path = Path(path)
-    if not (path / "head.json").is_file():
-        raise ManifestError(f"missing checkpoint: {path / 'head.json'}")
-    return heads.load_checkpoint(path)
-
-
 def cmd_eval(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     maps = _load_maps(manifest, Path(args.maps), "test")
@@ -283,53 +278,44 @@ def cmd_eval(args) -> int:
     reports = metrics.evaluate(manifest, maps, masks, top_fraction=args.top_fraction)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    metrics.write_reports_csv(out, reports)
+    write_csv(out, columns(metrics.MetricsReport), map(astuple, reports))
     _write_run_config(out.with_suffix(".config.json"), args)
     for r in reports:
-        print(r.to_csv_row())
+        print(csv_row(astuple(r)))
     return 0
 
 
 def cmd_report(args) -> int:
     manifest = read_manifest(Path(args.data) / "manifest.json")
     maps = _load_maps(manifest, Path(args.maps), "test")
-    combined = []
-    for path in args.metrics or ():
-        with open(path) as src:
-            header = src.readline().strip()
-            if header != metrics.MetricsReport.CSV_HEADER:
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            combined += [f"{Path(path).stem},{line}" for line in src if line.strip()]
+    combined = [[Path(path).stem, *cells] for path in args.metrics or ()
+                for cells in read_csv(path, columns(metrics.MetricsReport))]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for e in manifest.split("test"):
-        s = metrics.image_score(maps[e.image_id], args.top_fraction)
-        rows.append((e.image_id, e.class_id, e.label, s))
-    with open(out_dir / "image_scores.csv", "w") as f:
-        f.write("image_id,class_id,label,image_score\n")
-        for image_id, cid, label, s in rows:
-            f.write(f"{image_id},{'' if cid is None else cid},{label},{s!r}\n")
+    rows = [(e.image_id, e.class_id, e.label,
+             metrics.image_score(maps[e.image_id], args.top_fraction))
+            for e in manifest.split("test")]
+    write_csv(out_dir / "image_scores.csv", ("image_id", "class_id", "label", "image_score"),
+              rows)
 
     # shared bin edges across classes so per-class histograms are comparable
     scores = np.array([r[3] for r in rows])
     edges = np.histogram_bin_edges(scores, bins=args.bins)
-    with open(out_dir / "histograms.csv", "w") as f:
-        f.write("class_id,label,bin_left,bin_right,count\n")
-        class_ids = sorted({r[1] for r in rows if r[1] is not None}) or [None]
-        for cid in class_ids:
-            for label in ("normal", "anomalous"):
-                sel = np.array([r[3] for r in rows
-                                if (cid is None or r[1] == cid) and r[2] == label])
-                counts, _ = np.histogram(sel, bins=edges)
-                for left, right, count in zip(edges[:-1], edges[1:], counts):
-                    f.write(f"{'' if cid is None else cid},{label},{left!r},{right!r},{count}\n")
+    hist = []
+    for cid in sorted({r[1] for r in rows if r[1] is not None}) or [None]:
+        for label in ("normal", "anomalous"):
+            sel = np.array([r[3] for r in rows
+                            if (cid is None or r[1] == cid) and r[2] == label])
+            counts, _ = np.histogram(sel, bins=edges)
+            hist += [(cid, label, left, right, count)
+                     for left, right, count in zip(edges[:-1], edges[1:], counts)]
+    write_csv(out_dir / "histograms.csv", ("class_id", "label", "bin_left", "bin_right", "count"),
+              hist)
 
     if args.metrics:
-        with open(out_dir / "metrics_combined.csv", "w") as f:
-            f.write("source," + metrics.MetricsReport.CSV_HEADER + "\n")
-            f.writelines(combined)
+        write_csv(out_dir / "metrics_combined.csv", ["source", *columns(metrics.MetricsReport)],
+                  combined)
     _write_run_config(out_dir / "run_config.json", args)
     print(f"report -> {out_dir}")
     return 0
@@ -363,6 +349,15 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
+def _mixed_image_metrics(manifest: DatasetManifest, maps, top_fraction) -> tuple[float, float]:
+    """Image AUROC and AP of the pooled test split: the i_auroc and i_ap of
+    metrics.evaluate's mixed report, without its per-class and pixel metrics."""
+    entries = manifest.split("test")
+    scores = [metrics.image_score(maps[e.image_id], top_fraction) for e in entries]
+    labels = [int(e.label == "anomalous") for e in entries]
+    return metrics.auroc(scores, labels), metrics.average_precision(scores, labels)
+
+
 ABLATION_DROPOUTS = (0.0, 0.25, 0.5, 0.75)
 ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
@@ -373,8 +368,7 @@ def cmd_ablate(args) -> int:
     train_maps = _load_maps(manifest, Path(args.maps), "train")
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_features = _load_features(manifest, "test")
-    raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
-           for tf in ABLATION_TOP_FRACTIONS}
+    raw = {tf: _mixed_image_metrics(manifest, test_maps, tf) for tf in ABLATION_TOP_FRACTIONS}
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -388,15 +382,12 @@ def cmd_ablate(args) -> int:
             aligned = align_mod.align_maps(
                 test_maps, lambda image_id: heads.predicted_scale(model, test_features[image_id]))
             for tf in ABLATION_TOP_FRACTIONS:
-                cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
-                rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
-                             raw[tf].i_ap, cal.i_ap))
+                cal = _mixed_image_metrics(manifest, aligned, tf)
+                rows.append((structure, dropout, tf, raw[tf][0], cal[0], raw[tf][1], cal[1]))
             print(f"ablate {structure} dropout={dropout}: "
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
-    with open(out, "w") as f:
-        f.write("structure,dropout,top_fraction,raw_i_auroc,cada_i_auroc,raw_i_ap,cada_i_ap\n")
-        for r in rows:
-            f.write(",".join(str(v) for v in r) + "\n")
+    write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
+                    "raw_i_ap", "cada_i_ap"), rows)
     _write_run_config(out.with_suffix(".config.json"), args)
     print(f"ablation grid ({len(rows)} rows) -> {out}")
     return 0

@@ -16,7 +16,6 @@ of constants travel with the checkpoint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import net
 from .align import meanstd_gamma
-from .tensorio import read_tensor, write_tensor
+from .tensorio import read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
 STRUCTURES = {
@@ -341,6 +340,10 @@ def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, floa
     return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
+# the HeadModel arrays head.json stores as lists of floats
+_NORM_ARRAYS = ("target_offset", "target_scale", "input_offset", "input_scale")
+
+
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
     """Write head.json (config, seed, target normalization, layer dims) plus
     one ADT1 tensor file per parameter."""
@@ -351,27 +354,21 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
         "config": asdict(model.config),
         "in_channels": model.in_channels,
         "seed": model.seed,
-        "target_offset": list(map(float, model.target_offset)),
-        "target_scale": list(map(float, model.target_scale)),
-        "input_offset": list(map(float, model.input_offset)),
-        "input_scale": list(map(float, model.input_scale)),
+        **{name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS},
         "n_params": len(params),
         "param_shapes": [list(p.value.shape) for p in params],
         "loss_trace": model.loss_trace,
         "holdout_accuracy": model.holdout_accuracy,
         "class_labels": model.class_labels,
     }
-    with open(ckpt_dir / "head.json", "w") as f:
-        json.dump(header, f, indent=2)
-        f.write("\n")
+    write_json(ckpt_dir / "head.json", header)
     for i, p in enumerate(params):
         write_tensor(ckpt_dir / f"param_{i:03d}.adt", p.value)
 
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
     ckpt_dir = Path(ckpt_dir)
-    with open(ckpt_dir / "head.json") as f:
-        header = json.load(f)
+    header = read_json(ckpt_dir / "head.json")
     config = header["config"]
     keys = set(config) if isinstance(config, dict) else set()
     names = {f.name for f in fields(HeadConfig)}
@@ -396,10 +393,7 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         in_channels=header["in_channels"],
         network=network,
         seed=header["seed"],
-        target_offset=np.array(header["target_offset"]),
-        target_scale=np.array(header["target_scale"]),
-        input_offset=np.array(header["input_offset"]),
-        input_scale=np.array(header["input_scale"]),
+        **{name: np.array(header[name]) for name in _NORM_ARRAYS},
         loss_trace=list(header.get("loss_trace", [])),
         holdout_accuracy=header.get("holdout_accuracy"),
         class_labels=class_labels,

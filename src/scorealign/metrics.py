@@ -114,17 +114,6 @@ class MetricsReport:
     n_images: int
     n_pixels: int
 
-    CSV_HEADER = "scope,i_auroc,i_ap,p_auroc,p_ap,n_images,n_pixels"
-
-    def to_csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-
-        return ",".join(
-            [self.scope, fmt(self.i_auroc), fmt(self.i_ap), fmt(self.p_auroc),
-             fmt(self.p_ap), str(self.n_images), str(self.n_pixels)]
-        )
-
 
 def _image_row(e, values, masks, top_fraction):
     """One test image's (image score, 0/1 label, flat pixel scores, pixel
@@ -219,10 +208,3 @@ def macro_average(per_class: Sequence[MetricsReport]) -> MetricsReport:
         n_images=sum(r.n_images for r in per_class),
         n_pixels=sum(r.n_pixels for r in per_class),
     )
-
-
-def write_reports_csv(path, reports: Sequence[MetricsReport]) -> None:
-    with open(path, "w") as f:
-        f.write(MetricsReport.CSV_HEADER + "\n")
-        for r in reports:
-            f.write(r.to_csv_row() + "\n")

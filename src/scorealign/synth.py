@@ -14,7 +14,6 @@ so generation is order-independent and reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,6 +25,7 @@ from .tensorio import (
     DatasetManifest,
     ImageEntry,
     read_tensor,
+    write_json,
     write_manifest,
     write_tensor,
 )
@@ -158,9 +158,7 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
 
     manifest = DatasetManifest(images=entries, root=out_dir)
     write_manifest(out_dir / "manifest.json", manifest)
-    with open(out_dir / "synth_config.json", "w") as f:
-        json.dump(asdict(cfg), f, indent=2)
-        f.write("\n")
+    write_json(out_dir / "synth_config.json", asdict(cfg))
     return manifest
 
 
@@ -201,14 +199,10 @@ def score_knn(features: Sequence[np.ndarray], tree: cKDTree) -> list[np.ndarray]
     return [part.reshape(shape) for part, shape in zip(np.split(dist, ends), shapes)]
 
 
-def save_coreset(points: np.ndarray, m_per_image: int, out_dir) -> None:
+def save_coreset(points: np.ndarray, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_tensor(out_dir / "points.adt", np.asarray(points, dtype=np.float64))
-    with open(out_dir / "coreset.json", "w") as f:
-        json.dump({"per_image_count": m_per_image,
-                   "n_points": int(points.shape[0])}, f, indent=2)
-        f.write("\n")
 
 
 def load_coreset(in_dir) -> cKDTree:

@@ -1,8 +1,8 @@
-"""Binary tensor container ("ADT1") and dataset manifest I/O.
+"""Binary tensor container ("ADT1"), dataset manifest, and the CSV/JSON codec.
 
-Every stage of the pipeline communicates through these two file types, so
-the format is fixed bit-exactly: files written on any host are byte
-identical given identical inputs (little-endian throughout).
+Every stage of the pipeline communicates through these files, so their formats
+are fixed here bit-exactly: files written on any host are byte identical given
+identical inputs (tensors are little-endian throughout).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class ImageEntry:
     feature_path: Optional[str] = None
     mask_path: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
 
 @dataclass
 class DatasetManifest:
@@ -146,8 +143,7 @@ def read_manifest(path) -> DatasetManifest:
     """Read and validate a JSON manifest. Referenced files are not opened:
     the stage that reads one fails on it if it is missing."""
     path = Path(path)
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise ManifestError(f"{path}: expected an object with an 'images' list")
     images = []
@@ -165,9 +161,49 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    """Write a manifest to JSON; round-trips through read_manifest."""
+    """Write a manifest to JSON without its None fields; round-trips through read_manifest."""
     manifest.validate()
-    doc = {"images": [e.to_dict() for e in manifest.images]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    images = [{k: v for k, v in asdict(e).items() if v is not None} for e in manifest.images]
+    write_json(path, {"images": images})
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def columns(record_type) -> list[str]:
+    """The header of a table of dataclass records: its field names."""
+    return [f.name for f in fields(record_type)]
+
+
+def csv_row(values: Iterable) -> str:
+    """One CSV line without its newline. None is an empty cell, and a float
+    (numpy's too) the repr of the Python float, so it reads back exactly."""
+    return ",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                    for v in values)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    Path(path).write_text("".join(csv_row(r) + "\n" for r in [header, *rows]))
+
+
+def read_csv(path, header: Sequence[str], parse: Callable = list) -> list:
+    """parse(cells) of every line after `header`. A line with the wrong cell count,
+    or one parse raises ValueError on, is a ValueError naming the file and line."""
+    lines = Path(path).read_text().splitlines() or [""]
+    if lines[0] != csv_row(header):
+        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+            rows.append(parse(cells))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+    return rows

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from scorealign.align import (
     normalize_meanmax,
     read_stats_csv,
     scale_by_class,
-    write_stats_csv,
 )
 from scorealign.metrics import auroc, average_precision
+from scorealign.tensorio import columns, write_csv
 
 
 class TestScoreMap:
@@ -198,7 +199,7 @@ class TestStatsCsv:
                 4: _fitted_training_set(rng, 4, 9.0, 2.0, n=5)}
         stats = _fit(maps)
         path = tmp_path / "stats.csv"
-        write_stats_csv(path, stats)
+        write_csv(path, columns(ClassStats), map(astuple, stats))
         back = read_stats_csv(path)
         assert back == stats  # repr round-trip keeps floats exact
 

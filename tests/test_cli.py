@@ -1,5 +1,6 @@
 import filecmp
 import json
+import operator
 import shutil
 from dataclasses import fields
 
@@ -111,6 +112,13 @@ class TestPipeline:
         assert len(scores) == 1 + 3 * 12
         hist = (out / "histograms.csv").read_text().strip().split("\n")
         assert hist[0] == "class_id,label,bin_left,bin_right,count"
+        # every numeric cell is a plain number (no numpy scalar reprs)
+        for row in scores[1:]:
+            float(row.split(",")[3])
+        for row in hist[1:]:
+            _, _, left, right, count = row.split(",")
+            assert float(left) < float(right)
+            int(count)
         combined = (out / "metrics_combined.csv").read_text()
         assert "metrics_raw," in combined and "metrics_oracle," in combined
 
@@ -369,6 +377,35 @@ class TestExitCodes:
                      "--metrics", str(pipeline / "stats.csv")]) == 2
         assert "header" in capsys.readouterr().err
         assert not (tmp_path / "report" / "metrics_combined.csv").exists()
+
+    @pytest.mark.parametrize("line,edit,named", [
+        (5, lambda table: table.append(table[1]), "repeated class_id 0"),
+        (3, lambda table: table[2].pop(), "5 cells"),
+        (3, lambda table: operator.setitem(table[2], 1, "nan"), "non-finite"),
+    ], ids=["repeated-class", "five-cells", "nan-cell"])
+    def test_malformed_stats_csv_is_data_error_naming_line(
+            self, pipeline, tmp_path, capsys, line, edit, named):
+        table = [r.split(",") for r in (pipeline / "stats.csv").read_text().splitlines()]
+        edit(table)
+        bad = tmp_path / "stats.csv"
+        bad.write_text("".join(",".join(r) + "\n" for r in table))
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "aligned"),
+                     "--mode", "oracle", "--stats", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: " in err and named in err
+        assert not (tmp_path / "aligned").exists()
+
+    def test_report_metrics_row_of_wrong_length_is_data_error(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "metrics_bad.csv"
+        bad.write_text("scope,i_auroc,i_ap,p_auroc,p_ap,n_images,n_pixels\n"
+                       "mixed,0.5,0.5,,,36,2304\n"
+                       "macro,0.5,0.5,,,36,2304,0.5\n")
+        assert main(["report", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "report"),
+                     "--metrics", str(bad)]) == 2
+        assert f"{bad}:3: 8 cells" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("config,message", [
         ({"k_classes": 3, "bogus": 1}, "bogus"),

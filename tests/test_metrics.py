@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +13,8 @@ from scorealign.metrics import (
     evaluate,
     image_score,
     macro_average,
-    write_reports_csv,
 )
-from scorealign.tensorio import DatasetManifest, ImageEntry
+from scorealign.tensorio import DatasetManifest, ImageEntry, columns, write_csv
 
 
 def auroc_pair_counting(scores, labels):
@@ -299,9 +300,9 @@ class TestEvaluate:
         maps, masks = _toy_maps()
         reports = evaluate(man, maps, masks)
         path = tmp_path / "r.csv"
-        write_reports_csv(path, reports)
+        write_csv(path, columns(MetricsReport), map(astuple, reports))
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == MetricsReport.CSV_HEADER
+        assert lines[0] == "scope,i_auroc,i_ap,p_auroc,p_ap,n_images,n_pixels"
         row = lines[1].split(",")
         # repr round-trips float64 exactly
         assert float(row[1]) == reports[0].i_auroc

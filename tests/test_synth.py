@@ -174,11 +174,10 @@ class TestCoreset:
         rng = np.random.default_rng(3)
         feats = {"a": rng.normal(size=(4, 4, 4)).astype(np.float32)}
         points = fit_coreset(feats, 6)
-        save_coreset(points, 6, tmp_path)
+        save_coreset(points, tmp_path)
         back = load_coreset(tmp_path)
         assert back.data.tobytes() == points.tobytes()
-        meta = json.loads((tmp_path / "coreset.json").read_text())
-        assert meta == {"per_image_count": 6, "n_points": 6}
+        assert [p.name for p in tmp_path.iterdir()] == ["points.adt"]
 
 
 # small integers make duplicate points and equidistant neighbours common

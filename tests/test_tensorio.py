@@ -1,13 +1,22 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scorealign
 from scorealign.tensorio import (
     DatasetManifest,
     ImageEntry,
     ManifestError,
     TensorFormatError,
+    csv_row,
+    read_csv,
+    read_json,
     read_manifest,
     read_tensor,
+    write_csv,
+    write_json,
     write_manifest,
     write_tensor,
 )
@@ -157,3 +166,67 @@ class TestManifest:
                         '"label": "normal", "surprise": 1}]}')
         with pytest.raises(ManifestError, match="unknown"):
             read_manifest(path)
+
+
+class TestTextCodec:
+    def test_cells(self):
+        row = csv_row(["a", 3, np.int64(4), 0.1, np.float64(1 / 3), None])
+        assert row == "a,3,4,0.1,0.3333333333333333,"
+
+    def test_csv_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("name", "x"), [("a", np.float64(0.1)), ("b", None)])
+        assert path.read_text() == "name,x\na,0.1\nb,\n"
+        assert read_csv(path, ("name", "x")) == [["a", "0.1"], ["b", ""]]
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "header ''"),
+        ("name,y\n", "header 'name,y'"),
+        ("name,x\na,1\nb\n", r"t\.csv:3: 1 cells, expected 2"),
+        ("name,x\na,1\n\n", r"t\.csv:3: 1 cells, expected 2"),
+    ], ids=["empty", "other-header", "short-row", "blank-line"])
+    def test_malformed_csv_rejected(self, tmp_path, text, match):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_csv(path, ("name", "x"))
+
+    def test_parse_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("name,x\na,1\nb,two\n")
+        with pytest.raises(ValueError, match=r"t\.csv:3: could not convert"):
+            read_csv(path, ("name", "x"), lambda cells: float(cells[1]))
+
+    def test_json_round_trip(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"b": [1, 2.5], "a": None})
+        assert path.read_text() == '{\n  "b": [\n    1,\n    2.5\n  ],\n  "a": null\n}\n'
+        assert read_json(path) == {"b": [1, 2.5], "a": None}
+
+    def test_text_files_are_written_only_here(self):
+        """Outside tensorio no module calls json.dump or writes a file, so every
+        file format is decided in one place."""
+        offenders = []
+        for path in sorted(Path(scorealign.__file__).parent.glob("*.py")):
+            if path.name == "tensorio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                bare = isinstance(func, ast.Name)
+                name = func.id if bare else getattr(func, "attr", "")
+                where = f"{path.name}:{node.lineno} {ast.unparse(func)}"
+                if name == "dump" and (bare or ast.unparse(func.value) == "json"):
+                    offenders.append(where)
+                elif name in ("write_text", "write_bytes"):
+                    offenders.append(where)
+                elif name == "open":
+                    # open(path, mode, ...) or path.open(mode, ...); read-only
+                    # only when the mode is a literal of r, b and t
+                    modes = node.args[1:2] if bare else node.args[:1]
+                    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+                    if not all(isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")
+                               for m in modes):
+                        offenders.append(where)
+        assert offenders == []

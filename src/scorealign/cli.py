@@ -349,15 +349,6 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _mixed_image_metrics(manifest: DatasetManifest, maps, top_fraction) -> tuple[float, float]:
-    """Image AUROC and AP of the pooled test split: the i_auroc and i_ap of
-    metrics.evaluate's mixed report, without its per-class and pixel metrics."""
-    entries = manifest.split("test")
-    scores = [metrics.image_score(maps[e.image_id], top_fraction) for e in entries]
-    labels = [int(e.label == "anomalous") for e in entries]
-    return metrics.auroc(scores, labels), metrics.average_precision(scores, labels)
-
-
 ABLATION_DROPOUTS = (0.0, 0.25, 0.5, 0.75)
 ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
@@ -368,7 +359,8 @@ def cmd_ablate(args) -> int:
     train_maps = _load_maps(manifest, Path(args.maps), "train")
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_features = _load_features(manifest, "test")
-    raw = {tf: _mixed_image_metrics(manifest, test_maps, tf) for tf in ABLATION_TOP_FRACTIONS}
+    raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
+           for tf in ABLATION_TOP_FRACTIONS}
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -382,8 +374,9 @@ def cmd_ablate(args) -> int:
             aligned = align_mod.align_maps(
                 test_maps, lambda image_id: heads.predicted_scale(model, test_features[image_id]))
             for tf in ABLATION_TOP_FRACTIONS:
-                cal = _mixed_image_metrics(manifest, aligned, tf)
-                rows.append((structure, dropout, tf, raw[tf][0], cal[0], raw[tf][1], cal[1]))
+                cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
+                rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
+                             raw[tf].i_ap, cal.i_ap))
             print(f"ablate {structure} dropout={dropout}: "
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
@@ -491,7 +484,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ManifestError, TensorFormatError, metrics.UndefinedMetricError,
-            FileNotFoundError, KeyError, ValueError) as exc:
+            OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except net.NumericalError as exc:

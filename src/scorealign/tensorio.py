@@ -183,7 +183,8 @@ def columns(record_type) -> list[str]:
 def csv_row(values: Iterable) -> str:
     """One CSV line without its newline. None is an empty cell, and a float
     (numpy's too) the repr of the Python float, so it reads back exactly."""
-    return ",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+    return ",".join("" if v is None
+                    else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                     for v in values)
 
 

@@ -348,6 +348,13 @@ class TestExitCodes:
                      "--model", str(pipeline / "never_trained")]) == 2
         assert "head.json" in capsys.readouterr().err
 
+    def test_align_with_file_as_checkpoint_names_head_json(self, pipeline, capsys):
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"),
+                     "--out", str(pipeline / "nope"), "--mode", "regressor",
+                     "--model", str(pipeline / "reg" / "head.json")]) == 2
+        assert "head.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("add,drop,named", [
         ({"bogus": 1}, (), "bogus"),
         ({}, ("alpha",), "alpha"),

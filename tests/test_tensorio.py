@@ -170,8 +170,8 @@ class TestManifest:
 
 class TestTextCodec:
     def test_cells(self):
-        row = csv_row(["a", 3, np.int64(4), 0.1, np.float64(1 / 3), None])
-        assert row == "a,3,4,0.1,0.3333333333333333,"
+        row = csv_row(["a", 3, np.int64(4), 0.1, np.float64(1 / 3), np.float32(0.1), None])
+        assert row == "a,3,4,0.1,0.3333333333333333,0.10000000149011612,"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

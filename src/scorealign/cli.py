@@ -1,15 +1,18 @@
 """Command-line pipeline: generate, score, align, and evaluate.
 
 Subcommands communicate exclusively through files (tensors, manifests,
-CSVs, checkpoints); every subcommand that writes outputs also writes a
-resolved-config JSON next to them for provenance. Exit codes: 0 success,
-1 usage error, 2 data/validation error, 3 numerical failure.
+CSVs, checkpoints). `main` is the one stage runner: it reads the manifest
+under `--data` once and hands it to the stage's `cmd_*(args, manifest)`
+(None for stages without `--data`); once the stage returns its summary line,
+it writes the resolved config beside `--out` for provenance (inside it as
+`run_config.json` when the stage made a directory, else `<out>.config.json`)
+and prints the summary. Exit codes: 0 success, 1 usage error, 2
+data/validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import astuple, fields
@@ -24,6 +27,7 @@ from .tensorio import (
     ImageEntry,
     ManifestError,
     TensorFormatError,
+    check_json,
     columns,
     csv_row,
     read_csv,
@@ -46,9 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_run_config(out: Path, args: argparse.Namespace) -> None:
-    resolved = {k: (str(v) if isinstance(v, Path) else v)
-                for k, v in sorted(vars(args).items()) if k != "func"}
-    write_json(out, resolved)
+    write_json(out, {k: v for k, v in sorted(vars(args).items()) if k != "func"})
 
 
 def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
@@ -108,22 +110,7 @@ def _synth_config_from_args(args) -> synth.SynthConfig:
     })
 
 
-def _json_kind(default) -> str:
-    """The JSON type a gen --config value must have: that of its SynthConfig default."""
-    if isinstance(default, tuple):
-        return f"a list of {len(default)} {'integers' if type(default[0]) is int else 'numbers'}"
-    return "an integer" if type(default) is int else "a number"
-
-
-def _json_matches(value, default) -> bool:
-    if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(map(_json_matches, value, default)))
-    allowed = int if type(default) is int else (int, float)
-    return isinstance(value, allowed) and not isinstance(value, bool)
-
-
-def cmd_gen(args) -> int:
+def cmd_gen(args, manifest) -> str:
     if args.config:
         raw = read_json(args.config)
         if not isinstance(raw, dict):
@@ -132,30 +119,23 @@ def cmd_gen(args) -> int:
         unknown = sorted(set(raw) - set(defaults))
         if unknown:
             raise ValueError(f"{args.config}: unknown SynthConfig keys {unknown}")
+        # the file's keys win over the flags, which fill the other fields
         for key, value in raw.items():
-            if not _json_matches(value, defaults[key]):
-                raise ValueError(f"{args.config}: {key} must be {_json_kind(defaults[key])}, "
-                                 f"got {json.dumps(value)}")
-        cfg = synth.SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in raw.items()})
-    else:
-        cfg = _synth_config_from_args(args)
+            check_json(args.config, key, value, defaults[key])
+            pairs = zip(_SYNTH_PAIRS[key], value) if key in _SYNTH_PAIRS else [(key, value)]
+            for dest, v in pairs:
+                setattr(args, dest, v)
     out_dir = Path(args.out)
-    manifest = synth.generate(cfg, out_dir)
-    _write_run_config(out_dir / "run_config.json", args)
-    print(f"generated {len(manifest)} images -> {out_dir}")
-    return 0
+    generated = synth.generate(_synth_config_from_args(args), out_dir)
+    return f"generated {len(generated)} images -> {out_dir}"
 
 
-def cmd_fit_base(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_fit_base(args, manifest) -> str:
     features = _load_features(manifest, "train")
     points = synth.fit_coreset(features, args.m_per_image, seed=args.seed)
     out_dir = Path(args.out)
     synth.save_coreset(points, out_dir)
-    _write_run_config(out_dir / "run_config.json", args)
-    print(f"coreset with {points.shape[0]} points -> {out_dir}")
-    return 0
+    return f"coreset with {points.shape[0]} points -> {out_dir}"
 
 
 # score answers whole images in chunks of at least this many query rows: enough
@@ -163,8 +143,7 @@ def cmd_fit_base(args) -> int:
 SCORE_CHUNK_ROWS = 16384
 
 
-def cmd_score(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_score(args, manifest) -> str:
     tree = synth.load_coreset(args.coreset)
     splits = ("train", "test") if args.split == "all" else (args.split,)
     todo = [(e.image_id, _feature_path(manifest, e))
@@ -180,13 +159,10 @@ def cmd_score(args) -> int:
             for done, smap in zip(ids, synth.score_knn(feats, tree)):
                 write_tensor(out_dir / f"{done}.adt", smap)
             ids, feats, rows = [], [], 0
-    _write_run_config(out_dir / "run_config.json", args)
-    print(f"scored {len(todo)} images -> {out_dir}")
-    return 0
+    return f"scored {len(todo)} images -> {out_dir}"
 
 
-def cmd_stats(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_stats(args, manifest) -> str:
     train = manifest.split("train")
     if any(e.class_id is None for e in train):
         raise ManifestError("stats needs class_ids on every train image")
@@ -198,15 +174,12 @@ def cmd_stats(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, columns(align_mod.ClassStats), map(astuple, stats))
-    _write_run_config(out.with_suffix(".config.json"), args)
-    print(f"fitted stats for {len(stats)} classes -> {out}")
-    return 0
+    return f"fitted stats for {len(stats)} classes -> {out}"
 
 
-def cmd_train_head(args) -> int:
+def cmd_train_head(args, manifest) -> str:
     if args.mode == "regressor" and args.maps is None:
         raise UsageError("train-head --mode regressor needs --maps")
-    manifest = read_manifest(Path(args.data) / "manifest.json")
     features = _load_features(manifest, "train")
     head_cfg = heads.HeadConfig(**{f.name: getattr(args, _HEAD_FLAGS.get(f.name, f.name))
                                    for f in fields(heads.HeadConfig)})
@@ -222,17 +195,14 @@ def cmd_train_head(args) -> int:
         model = heads.train_classifier(features, class_ids, head_cfg, train_cfg)
     out_dir = Path(args.out)
     heads.save_checkpoint(model, out_dir)
-    _write_run_config(out_dir / "run_config.json", args)
     final = model.loss_trace[-1] if model.loss_trace else float("nan")
     extra = (f", holdout acc {model.holdout_accuracy:.3f}"
              if model.holdout_accuracy is not None else "")
-    print(f"trained {args.mode} ({args.iterations} iters, final loss {final:.4f}{extra}) "
-          f"-> {out_dir}")
-    return 0
+    return (f"trained {args.mode} ({args.iterations} iters, final loss {final:.4f}{extra}) "
+            f"-> {out_dir}")
 
 
-def cmd_align(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_align(args, manifest) -> str:
     maps = _load_maps(manifest, Path(args.maps), args.split)
     entries = manifest.split(args.split)
 
@@ -266,27 +236,20 @@ def cmd_align(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for image_id, values in aligned.items():
         write_tensor(out_dir / f"{image_id}.adt", values)
-    _write_run_config(out_dir / "run_config.json", args)
-    print(f"aligned {len(aligned)} maps ({args.mode}) -> {out_dir}")
-    return 0
+    return f"aligned {len(aligned)} maps ({args.mode}) -> {out_dir}"
 
 
-def cmd_eval(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_eval(args, manifest) -> str:
     maps = _load_maps(manifest, Path(args.maps), "test")
     masks = _load_masks(manifest)
     reports = metrics.evaluate(manifest, maps, masks, top_fraction=args.top_fraction)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, columns(metrics.MetricsReport), map(astuple, reports))
-    _write_run_config(out.with_suffix(".config.json"), args)
-    for r in reports:
-        print(csv_row(astuple(r)))
-    return 0
+    return "\n".join(csv_row(astuple(r)) for r in reports)
 
 
-def cmd_report(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_report(args, manifest) -> str:
     maps = _load_maps(manifest, Path(args.maps), "test")
     combined = [[Path(path).stem, *cells] for path in args.metrics or ()
                 for cells in read_csv(path, columns(metrics.MetricsReport))]
@@ -316,12 +279,10 @@ def cmd_report(args) -> int:
     if args.metrics:
         write_csv(out_dir / "metrics_combined.csv", ["source", *columns(metrics.MetricsReport)],
                   combined)
-    _write_run_config(out_dir / "run_config.json", args)
-    print(f"report -> {out_dir}")
-    return 0
+    return f"report -> {out_dir}"
 
 
-def cmd_grad_check(args) -> int:
+def cmd_grad_check(args, manifest) -> str:
     for flag in ("channels", "grid"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -343,18 +304,15 @@ def cmd_grad_check(args) -> int:
         worst = max(worst, err)
         print(f"{name}: max relative error {err:.3e}")
     if worst > args.tolerance:
-        print(f"FAIL: worst error {worst:.3e} > {args.tolerance:.1e}", file=sys.stderr)
-        return 3
-    print(f"all structures within {args.tolerance:.1e}")
-    return 0
+        raise net.NumericalError(f"worst error {worst:.3e} > {args.tolerance:.1e}")
+    return f"all structures within {args.tolerance:.1e}"
 
 
 ABLATION_DROPOUTS = (0.0, 0.25, 0.5, 0.75)
 ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 
-def cmd_ablate(args) -> int:
-    manifest = read_manifest(Path(args.data) / "manifest.json")
+def cmd_ablate(args, manifest) -> str:
     features = _load_features(manifest, "train")
     train_maps = _load_maps(manifest, Path(args.maps), "train")
     test_maps = _load_maps(manifest, Path(args.maps), "test")
@@ -381,9 +339,7 @@ def cmd_ablate(args) -> int:
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
-    _write_run_config(out.with_suffix(".config.json"), args)
-    print(f"ablation grid ({len(rows)} rows) -> {out}")
-    return 0
+    return f"ablation grid ({len(rows)} rows) -> {out}"
 
 
 def _subcommand(sub, name, func, help, *required_paths) -> _Parser:
@@ -479,7 +435,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        manifest = (read_manifest(Path(args.data) / "manifest.json")
+                    if hasattr(args, "data") else None)
+        summary = args.func(args, manifest)
+        if hasattr(args, "out"):
+            out = Path(args.out)
+            _write_run_config(out / "run_config.json" if out.is_dir()
+                              else out.with_suffix(".config.json"), args)
+        print(summary)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import net
 from .align import meanstd_gamma
-from .tensorio import read_json, read_tensor, write_json, write_tensor
+from .tensorio import check_json, read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
 STRUCTURES = {
@@ -368,13 +368,17 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
     ckpt_dir = Path(ckpt_dir)
-    header = read_json(ckpt_dir / "head.json")
-    config = header["config"]
+    path = ckpt_dir / "head.json"
+    header = read_json(path)
+    config = header.get("config") if isinstance(header, dict) else None
     keys = set(config) if isinstance(config, dict) else set()
     names = {f.name for f in fields(HeadConfig)}
     if keys != names:
-        raise ValueError(f"{ckpt_dir / 'head.json'}: config has unknown keys "
+        raise ValueError(f"{path}: config has unknown keys "
                          f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
+    for f in fields(HeadConfig):
+        check_json(f"{path}: config", f.name, config[f.name], f.default)
+    check_json(path, "in_channels", header.get("in_channels"), 0)
     cfg = HeadConfig(**config)
     class_labels = header.get("class_labels")
     out_dim = 2 if class_labels is None else len(class_labels)

@@ -144,17 +144,22 @@ def read_manifest(path) -> DatasetManifest:
     the stage that reads one fails on it if it is missing."""
     path = Path(path)
     doc = read_json(path)
-    if not isinstance(doc, dict) or "images" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("images"), list):
         raise ManifestError(f"{path}: expected an object with an 'images' list")
     images = []
-    for rec in doc["images"]:
-        unknown = set(rec) - {f.name for f in fields(ImageEntry)}
+    entry_fields = fields(ImageEntry)
+    for i, rec in enumerate(doc["images"]):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"{path}: images[{i}] is not an object")
+        unknown = set(rec) - {f.name for f in entry_fields}
         if unknown:
             raise ManifestError(f"{path}: unknown manifest fields {sorted(unknown)}")
-        try:
-            images.append(ImageEntry(**rec))
-        except TypeError as exc:
-            raise ManifestError(f"{path}: bad image record {rec}: {exc}") from exc
+        # class_id is an integer, every other field a string; an optional field may be null
+        for f in entry_fields:
+            if rec.get(f.name) is not None or f.default is not None:
+                check_json(f"{path}: images[{i}]", f.name, rec.get(f.name),
+                           0 if f.name == "class_id" else "", ManifestError)
+        images.append(ImageEntry(**rec))
     manifest = DatasetManifest(images=images, root=path.parent)
     manifest.validate()
     return manifest
@@ -173,6 +178,25 @@ def read_json(path):
 
 def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+# the type of a config field's default -> the name and the types of the JSON values it takes
+_JSON_KINDS = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float))}
+
+
+def _json_matches(value, default) -> bool:
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_json_matches, value, default)))
+    return isinstance(value, _JSON_KINDS[type(default)][1]) and not isinstance(value, bool)
+
+
+def check_json(where: str, key: str, value, default, error=ValueError) -> None:
+    """Raise `error` naming `where` and `key` unless the JSON value suits the field default."""
+    if not _json_matches(value, default):
+        kind = (f"a list of {len(default)} {'integers' if type(default[0]) is int else 'numbers'}"
+                if isinstance(default, tuple) else _JSON_KINDS[type(default)][0])
+        raise error(f"{where}: {key} must be {kind}, got {json.dumps(value)}")
 
 
 def columns(record_type) -> list[str]:

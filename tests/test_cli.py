@@ -1,8 +1,10 @@
+import ast
 import filecmp
 import json
 import operator
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,27 @@ def pipeline(tmp_path_factory):
                  "--out", str(root / "clf"), "--structure", "2lin",
                  "--hidden-dim", "16", "--iterations", "60"]) == 0
     return root
+
+
+def _manifest_copy(pipeline, data, edit=None):
+    """Write pipeline's manifest into the directory `data` with absolute file
+    paths, after edit(doc) if given; return the path of the copy."""
+    doc = json.loads((pipeline / "data" / "manifest.json").read_text())
+    for rec in doc["images"]:
+        for key in ("feature_path", "mask_path"):
+            if key in rec:
+                rec[key] = str(pipeline / "data" / rec[key])
+    if edit is not None:
+        edit(doc)
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(doc))
+    return data / "manifest.json"
+
+
+def _tree_bytes(root) -> dict:
+    """{relative path: bytes} of every file under root except its run config."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*"))
+            if p.is_file() and p.name != "run_config.json"}
 
 
 class TestPipeline:
@@ -362,7 +385,11 @@ class TestExitCodes:
         # mode, n_conv, n_linear and out_dim
         ({"mode": "regressor", "n_conv": 0, "n_linear": 2, "out_dim": 2},
          ("structure",), "n_conv"),
-    ], ids=["unknown-key", "missing-key", "nine-field-config"])
+        ({"hidden_dim": "16"}, (), 'head.json: config: hidden_dim must be an integer, got "16"'),
+        ({"alpha": "0.1"}, (), 'head.json: config: alpha must be a number, got "0.1"'),
+        ({"dropout_rate": None}, (), "head.json: config: dropout_rate must be a number, got null"),
+    ], ids=["unknown-key", "missing-key", "nine-field-config", "hidden-dim-str", "alpha-str",
+            "dropout-null"])
     def test_align_with_bad_checkpoint_config_is_data_error(
             self, pipeline, tmp_path, capsys, add, drop, named):
         ckpt = tmp_path / "reg"
@@ -377,6 +404,55 @@ class TestExitCodes:
                      "--mode", "regressor", "--model", str(ckpt)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "aligned").exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda header: {**header, "in_channels": "4"},
+         'head.json: in_channels must be an integer, got "4"'),
+        (lambda header: [header], "head.json: config has unknown keys []"),
+    ], ids=["in-channels-str", "json-list"])
+    def test_align_with_malformed_head_json_is_data_error(
+            self, pipeline, tmp_path, capsys, edit, named):
+        ckpt = tmp_path / "reg"
+        shutil.copytree(pipeline / "reg", ckpt)
+        header = json.loads((ckpt / "head.json").read_text())
+        (ckpt / "head.json").write_text(json.dumps(edit(header)))
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "aligned"),
+                     "--mode", "regressor", "--model", str(ckpt)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
+    # the fixture manifest lists class 0's 12 train images first, then its test images
+    @pytest.mark.parametrize("edit,argv,named", [
+        (lambda doc: operator.setitem(doc, "images", 5), ["fit-base"],
+         "expected an object with an 'images' list"),
+        (lambda doc: operator.setitem(doc["images"], 0, "c00_train_0000"), ["fit-base"],
+         "images[0] is not an object"),
+        (lambda doc: operator.setitem(doc["images"][0], "feature_path", 7), ["fit-base"],
+         "images[0]: feature_path must be a string, got 7"),
+        (lambda doc: operator.setitem(doc["images"][0], "class_id", "0"),
+         ["stats", "--maps", "{root}/maps"], 'images[0]: class_id must be an integer, got "0"'),
+        (lambda doc: operator.setitem(doc["images"][0], "image_id", 7),
+         ["stats", "--maps", "{root}/maps"], "images[0]: image_id must be a string, got 7"),
+        (lambda doc: operator.setitem(doc["images"][0], "class_id", 0.0),
+         ["stats", "--maps", "{root}/maps"], "images[0]: class_id must be an integer, got 0.0"),
+        (lambda doc: operator.setitem(doc["images"][0], "class_id", True),
+         ["stats", "--maps", "{root}/maps"], "images[0]: class_id must be an integer, got true"),
+        (lambda doc: operator.setitem(doc["images"][12], "class_id", "x"),
+         ["eval", "--maps", "{root}/maps"], 'images[12]: class_id must be an integer, got "x"'),
+        (lambda doc: doc["images"][12].pop("split"),
+         ["eval", "--maps", "{root}/maps"], "images[12]: split must be a string, got null"),
+    ], ids=["images-int", "record-str", "feature-path-int", "train-class-str", "image-id-int",
+            "class-float", "class-bool", "test-class-str", "split-missing"])
+    def test_malformed_manifest_is_data_error_naming_file(
+            self, pipeline, tmp_path, capsys, edit, argv, named):
+        manifest = _manifest_copy(pipeline, tmp_path / "data", edit)
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(manifest.parent), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: " in err and named in err
+        assert not out.exists()
 
     def test_report_rejects_non_metrics_csv(self, pipeline, tmp_path, capsys):
         assert main(["report", "--data", str(pipeline / "data"),
@@ -535,3 +611,131 @@ class TestAblateCommand:
         assert len(lines) == 1 + 5 * 4 * 4  # structures x dropouts x aggregations
         cells = {(r.split(",")[0], r.split(",")[1]) for r in lines[1:]}
         assert len(cells) == 20
+
+
+class TestGenCommand:
+    def test_config_keys_win_and_flags_fill_the_rest(self, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"k_classes": 2, "grid": [6, 6], "train_normal": 3,
+                                      "test_normal": 2, "test_anomalous": 2, "seed": 1}))
+        assert main(["gen", "--out", str(tmp_path / "from_config"), "--config", str(config),
+                     "--k-classes", "4", "--seed", "5", "--feat-dim", "3"]) == 0
+        assert main(["gen", "--out", str(tmp_path / "from_flags"), "--k-classes", "2",
+                     "--grid-h", "6", "--grid-w", "6", "--train-normal", "3",
+                     "--test-normal", "2", "--test-anomalous", "2", "--seed", "1",
+                     "--feat-dim", "3"]) == 0
+        assert _tree_bytes(tmp_path / "from_config") == _tree_bytes(tmp_path / "from_flags")
+        recorded = [json.loads((tmp_path / d / "run_config.json").read_text())
+                    for d in ("from_config", "from_flags")]
+        for cfg in recorded:
+            del cfg["config"], cfg["out"]
+        assert recorded[0] == recorded[1]
+        assert (recorded[0]["k_classes"], recorded[0]["seed"], recorded[0]["feat_dim"]) == (2, 1, 3)
+
+
+def _drop_class_ids(*splits):
+    """A manifest edit deleting the class_id of every image in splits."""
+    def edit(doc):
+        for rec in doc["images"]:
+            if rec["split"] in splits:
+                del rec["class_id"]
+    return edit
+
+
+class TestClassAgnostic:
+    """The paper's absolute-unified claim: the label-free path reads no class label."""
+
+    def test_regressor_path_without_class_ids_matches_labelled_run(self, pipeline, tmp_path):
+        blind = _manifest_copy(pipeline, tmp_path / "blind", _drop_class_ids("train", "test"))
+        maps = str(pipeline / "maps")
+        # the flags the pipeline fixture trained its "reg" head with
+        assert main(["train-head", "--data", str(blind.parent), "--maps", maps,
+                     "--mode", "regressor", "--out", str(tmp_path / "reg"), "--structure", "2lin",
+                     "--hidden-dim", "16", "--iterations", "60"]) == 0
+        assert _tree_bytes(tmp_path / "reg") == _tree_bytes(pipeline / "reg")
+        for tag, data in (("labelled", pipeline / "data"), ("blind", blind.parent)):
+            aligned = tmp_path / f"aligned_{tag}"
+            assert main(["align", "--data", str(data), "--maps", maps, "--mode", "regressor",
+                         "--model", str(tmp_path / "reg"), "--out", str(aligned)]) == 0
+            assert main(["eval", "--data", str(data), "--maps", str(aligned),
+                         "--out", str(tmp_path / f"metrics_{tag}.csv")]) == 0
+        assert _tree_bytes(tmp_path / "aligned_blind") == _tree_bytes(tmp_path / "aligned_labelled")
+        labelled = (tmp_path / "metrics_labelled.csv").read_text().splitlines()
+        assert labelled[1].startswith("mixed,")
+        assert (tmp_path / "metrics_blind.csv").read_text().splitlines() == labelled[:2]
+
+    def test_classifier_align_without_test_class_ids_matches_labelled_run(
+            self, pipeline, tmp_path, capsys):
+        blind = _manifest_copy(pipeline, tmp_path / "blind", _drop_class_ids("test"))
+        common = ["--maps", str(pipeline / "maps"), "--stats", str(pipeline / "stats.csv")]
+        for tag, data in (("labelled", pipeline / "data"), ("blind", blind.parent)):
+            assert main(["align", "--data", str(data), "--mode", "classifier",
+                         "--model", str(pipeline / "clf"),
+                         "--out", str(tmp_path / f"aligned_{tag}")] + common) == 0
+        assert _tree_bytes(tmp_path / "aligned_blind") == _tree_bytes(tmp_path / "aligned_labelled")
+        assert main(["align", "--data", str(blind.parent), "--mode", "oracle",
+                     "--out", str(tmp_path / "oracle")] + common) == 2
+        assert "class_ids" in capsys.readouterr().err
+        assert not (tmp_path / "oracle").exists()
+
+
+# every subcommand with --out -> its other arguments, its --out, and where the
+# runner writes its run config: inside a directory output, beside a file output
+RUN_CONFIGS = {
+    "gen": (GEN_ARGS, "data", "data/run_config.json"),
+    "fit-base": (["--data", "{root}/data", "--m-per-image", "8"],
+                 "coreset", "coreset/run_config.json"),
+    "score": (["--data", "{root}/data", "--coreset", "{root}/coreset", "--split", "test"],
+              "maps", "maps/run_config.json"),
+    "stats": (["--data", "{root}/data", "--maps", "{root}/maps"],
+              "stats.csv", "stats.config.json"),
+    "train-head": (["--data", "{root}/data", "--mode", "classifier", "--structure", "2lin",
+                    "--hidden-dim", "4", "--iterations", "2"], "clf", "clf/run_config.json"),
+    "align": (["--data", "{root}/data", "--maps", "{root}/maps", "--mode", "oracle",
+               "--stats", "{root}/stats.csv"], "aligned", "aligned/run_config.json"),
+    "eval": (["--data", "{root}/data", "--maps", "{root}/maps"],
+             "metrics.csv", "metrics.config.json"),
+    "report": (["--data", "{root}/data", "--maps", "{root}/maps"],
+               "report", "report/run_config.json"),
+    "ablate": (["--data", "{root}/data", "--maps", "{root}/maps", "--hidden-dim", "2",
+                "--iterations", "2"], "ablation.csv", "ablation.config.json"),
+}
+
+
+class TestStageRunner:
+    def test_only_main_reads_the_manifest_and_writes_the_run_config(self):
+        """main is the one stage runner: every cmd_* takes (args, manifest), and
+        no function but main reads the manifest or writes a run config."""
+        calls, stage_args = [], {}
+        for fn in ast.parse(Path(cli.__file__).read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name.startswith("cmd_"):
+                stage_args[fn.name] = [a.arg for a in fn.args.args]
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("read_manifest", "_write_run_config"):
+                        calls.append((fn.name, name))
+        assert sorted(calls) == [("main", "_write_run_config"), ("main", "read_manifest")]
+        assert stage_args and all(a == ["args", "manifest"] for a in stage_args.values()), stage_args
+
+    def test_every_subcommand_with_out_is_listed(self):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+        with_out = {name for name, p in subparsers.choices.items()
+                    if any(a.dest == "out" for a in p._actions)}
+        assert with_out == set(RUN_CONFIGS)
+
+    @pytest.mark.parametrize("subcommand", [
+        pytest.param(name, marks=pytest.mark.filterwarnings(
+            # 2 iterations is deliberately untrained: degenerate-scale clamps expected
+            "ignore::scorealign.align.DegenerateScaleWarning")) if name == "ablate" else name
+        for name in RUN_CONFIGS])
+    def test_run_config_sits_where_the_runner_puts_it(self, pipeline, tmp_path, subcommand):
+        flags, out, config = RUN_CONFIGS[subcommand]
+        assert main([subcommand, *[a.format(root=pipeline) for a in flags],
+                     "--out", str(tmp_path / out)]) == 0
+        assert [*tmp_path.rglob("run_config.json"), *tmp_path.rglob("*.config.json")] == [
+            tmp_path / config]
+        recorded = json.loads((tmp_path / config).read_text())
+        assert (recorded["subcommand"], recorded["out"]) == (subcommand, str(tmp_path / out))

@@ -18,6 +18,7 @@ import numpy as np
 from .tensorio import columns, read_csv
 
 Scale = tuple[float, float]  # (u, gamma) of one image or class
+VARIANTS = ("meanmax", "meanstd")  # gamma: the mean of per-image maxima, or u + 3*sigma
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -106,12 +107,12 @@ def scale_by_class(scales: Mapping[int, Scale],
     return scale_of
 
 
-def align_maps(maps: Mapping[str, np.ndarray], scale_of: Callable[[str], Scale],
-               eps: float = 1e-6) -> dict[str, np.ndarray]:
+def align_maps(maps: Mapping[str, np.ndarray],
+               scale_of: Callable[[str], Scale]) -> dict[str, np.ndarray]:
     """Mean-max normalize each {image_id: map} entry with the (u, gamma)
     `scale_of` gives its image id. The oracle, classifier and regressor modes
     differ only in `scale_of`."""
-    return {image_id: normalize_meanmax(values, *scale_of(image_id), eps)
+    return {image_id: normalize_meanmax(values, *scale_of(image_id))
             for image_id, values in maps.items()}
 
 

@@ -87,27 +87,17 @@ def _top_fraction(text: str):
     return float(text)
 
 
-# gen sets each tuple field of SynthConfig with a pair of flags
-_SYNTH_PAIRS = {
-    "grid": ("grid_h", "grid_w"),
-    "spread_range": ("spread_min", "spread_max"),
-    "anomaly_area_range": ("area_min", "area_max"),
-}
 # HeadConfig field -> the train-head flag (dest) that sets it, where the names differ
 _HEAD_FLAGS = {"dropout_rate": "dropout"}
+# config field -> the names its flag accepts
+_CHOICES = {"structure": sorted(heads.STRUCTURES), "activation": tuple(heads.ACTIVATIONS),
+            "target": align_mod.VARIANTS}
 
 
-def _add_field_flag(p, dest: str, default) -> None:
+def _add_field_flag(p, dest: str, default, choices=None) -> None:
     """--dest typed and defaulted by the config field default it sets."""
-    p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
-
-
-def _synth_config_from_args(args) -> synth.SynthConfig:
-    return synth.SynthConfig(**{
-        f.name: (tuple(getattr(args, d) for d in _SYNTH_PAIRS[f.name])
-                 if f.name in _SYNTH_PAIRS else getattr(args, f.name))
-        for f in fields(synth.SynthConfig)
-    })
+    p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                   choices=choices)
 
 
 def cmd_gen(args, manifest) -> str:
@@ -122,11 +112,10 @@ def cmd_gen(args, manifest) -> str:
         # the file's keys win over the flags, which fill the other fields
         for key, value in raw.items():
             check_json(args.config, key, value, defaults[key])
-            pairs = zip(_SYNTH_PAIRS[key], value) if key in _SYNTH_PAIRS else [(key, value)]
-            for dest, v in pairs:
-                setattr(args, dest, v)
+            setattr(args, key, value)
     out_dir = Path(args.out)
-    generated = synth.generate(_synth_config_from_args(args), out_dir)
+    cfg = synth.SynthConfig(**{f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)})
+    generated = synth.generate(cfg, out_dir)
     return f"generated {len(generated)} images -> {out_dir}"
 
 
@@ -230,7 +219,7 @@ def cmd_align(args, manifest) -> str:
 
         def scale_of(image_id):
             return heads.predicted_scale(model, features[image_id])
-    aligned = align_mod.align_maps(maps, scale_of, args.eps)
+    aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,11 +350,7 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "gen", cmd_gen, "generate the synthetic benchmark", "out")
     p.add_argument("--config", help="JSON file with SynthConfig fields (overrides flags)")
     for f in fields(synth.SynthConfig):
-        if f.name in _SYNTH_PAIRS:
-            for dest, default in zip(_SYNTH_PAIRS[f.name], f.default):
-                _add_field_flag(p, dest, default)
-        else:
-            _add_field_flag(p, f.name, f.default)
+        _add_field_flag(p, f.name, f.default)
 
     p = _subcommand(sub, "fit-base", cmd_fit_base, "fit the coreset memory bank", "data", "out")
     p.add_argument("--m-per-image", type=int, default=16)
@@ -382,24 +367,17 @@ def build_parser() -> _Parser:
                     "data", "out")
     p.add_argument("--maps", help="score maps dir (required for regressor)")
     p.add_argument("--mode", choices=("regressor", "classifier"), default="regressor")
-    p.add_argument("--structure", choices=sorted(heads.STRUCTURES), default=head.structure)
-    p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
-    p.add_argument("--dropout", type=float, default=head.dropout_rate)
-    p.add_argument("--activation", choices=tuple(heads.ACTIVATIONS), default=head.activation)
-    p.add_argument("--target", choices=("meanmax", "meanstd"), default=head.target)
-    p.add_argument("--alpha", type=float, default=head.alpha)
-    for f in fields(train):
-        _add_field_flag(p, f.name, f.default)
+    for f in fields(head) + fields(train):
+        _add_field_flag(p, _HEAD_FLAGS.get(f.name, f.name), f.default, _CHOICES.get(f.name))
 
     p = _subcommand(sub, "align", cmd_align, "calibrate score maps", "data", "maps", "out")
     p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
     p.add_argument("--stats", help="class-stats CSV (oracle / classifier modes)")
     p.add_argument("--model", help="head checkpoint dir (classifier / regressor modes)")
-    p.add_argument("--variant", choices=("meanmax", "meanstd"), default="meanmax",
+    p.add_argument("--variant", choices=align_mod.VARIANTS, default="meanmax",
                    help="oracle / classifier modes; regressor mode takes the variant "
                         "from the head's train-head --target")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--eps", type=float, default=1e-6)
 
     p = _subcommand(sub, "eval", cmd_eval, "image- and pixel-level metrics on the test split",
                     "data", "maps", "out")
@@ -418,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=6)
     p.add_argument("--hidden-dim", type=int, default=16)
     p.add_argument("--dropout", type=float, default=head.dropout_rate)
-    p.add_argument("--activation", choices=tuple(heads.ACTIVATIONS), default=head.activation)
+    p.add_argument("--activation", choices=_CHOICES["activation"], default=head.activation)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
 

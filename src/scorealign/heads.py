@@ -16,6 +16,7 @@ of constants travel with the checkpoint.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import net
-from .align import meanstd_gamma
+from .align import VARIANTS, meanstd_gamma
 from .tensorio import check_json, read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
@@ -47,7 +48,7 @@ class HeadConfig:
     hidden_dim: int = 256
     dropout_rate: float = 0.25
     activation: str = "gelu"         # an ACTIVATIONS name
-    target: str = "meanmax"          # "meanmax" | "meanstd" (regressor only)
+    target: str = "meanmax"          # a VARIANTS name (regressor only)
     alpha: float = 0.1               # smooth-L1 threshold, normalized target space
 
     def validate(self):
@@ -58,7 +59,7 @@ class HeadConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.target not in ("meanmax", "meanstd"):
+        if self.target not in VARIANTS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
@@ -367,6 +368,8 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
 
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
+    """The HeadModel save_checkpoint wrote. A head.json value of the wrong JSON
+    type or length is a ValueError naming the file and the key."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "head.json"
     header = read_json(path)
@@ -378,23 +381,34 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
                          f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
     for f in fields(HeadConfig):
         check_json(f"{path}: config", f.name, config[f.name], f.default)
-    check_json(path, "in_channels", header.get("in_channels"), 0)
-    cfg = HeadConfig(**config)
+    for key in ("in_channels", "seed", "n_params"):
+        check_json(path, key, header.get(key), 0)
+    in_channels = header["in_channels"]
+    if in_channels < 1:
+        raise ValueError(f"{path}: in_channels must be >= 1, got {in_channels}")
     class_labels = header.get("class_labels")
+    if class_labels is not None and not (isinstance(class_labels, list) and len(class_labels) > 1
+                                         and all(type(c) is int for c in class_labels)):
+        raise ValueError(f"{path}: class_labels must be null or a list of at least 2 integers, "
+                         f"got {json.dumps(class_labels)}")
     out_dim = 2 if class_labels is None else len(class_labels)
+    for name in _NORM_ARRAYS:
+        width = in_channels if name.startswith("input") else out_dim
+        check_json(path, name, header.get(name), (0.0,) * width)
+    cfg = HeadConfig(**config)
     rng = np.random.default_rng(0)  # params are overwritten below
-    network = build_head(cfg, header["in_channels"], out_dim, rng)
+    network = build_head(cfg, in_channels, out_dim, rng)
     params = network.parameters()
     if len(params) != header["n_params"]:
-        raise ValueError("checkpoint parameter count mismatch")
+        raise ValueError(f"{path}: n_params is {header['n_params']}, its config has {len(params)}")
     for i, p in enumerate(params):
         value = read_tensor(ckpt_dir / f"param_{i:03d}.adt")
-        if list(value.shape) != list(p.value.shape):
-            raise ValueError(f"param {i}: shape mismatch")
+        if value.shape != p.value.shape:
+            raise ValueError(f"{path}: param {i} has shape {value.shape}, not {p.value.shape}")
         p.value[...] = value
     return HeadModel(
         config=cfg,
-        in_channels=header["in_channels"],
+        in_channels=in_channels,
         network=network,
         seed=header["seed"],
         **{name: np.array(header[name]) for name in _NORM_ARRAYS},

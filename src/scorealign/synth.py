@@ -33,13 +33,17 @@ from .tensorio import (
 
 @dataclass
 class SynthConfig:
+    """The benchmark's settings: `gen`'s flags and `--config` keys are these fields."""
     k_classes: int = 8
-    grid: tuple = (16, 16)
+    grid_h: int = 16
+    grid_w: int = 16
     feat_dim: int = 8
     center_radius: float = 10.0
-    spread_range: tuple = (0.25, 4.0)
+    spread_min: float = 0.25  # class spreads are log-uniform over [spread_min, spread_max]
+    spread_max: float = 4.0
     anomaly_rel_magnitude: float = 3.0
-    anomaly_area_range: tuple = (0.05, 0.2)
+    area_min: float = 0.05  # an anomaly covers a grid fraction in [area_min, area_max]
+    area_max: float = 0.2
     train_normal: int = 100
     test_normal: int = 20
     test_anomalous: int = 20
@@ -49,30 +53,30 @@ class SynthConfig:
     def validate(self):
         if self.k_classes < 2:
             raise ValueError("k_classes must be >= 2")
-        h, w = self.grid
+        h, w = self.grid_h, self.grid_w
         if min(h, w) < 1:
-            raise ValueError(f"grid sides must be >= 1, got {self.grid}")
+            raise ValueError(f"grid_h and grid_w must be >= 1, got {h} and {w}")
         if self.feat_dim < 1:
             raise ValueError(f"feat_dim must be >= 1, got {self.feat_dim}")
-        if self.spread_range[0] <= 0 or self.spread_range[1] < self.spread_range[0]:
-            raise ValueError(f"bad spread_range {self.spread_range}")
-        lo, hi = self.anomaly_area_range
+        if not 0.0 < self.spread_min <= self.spread_max:
+            raise ValueError(f"need 0 < spread_min <= spread_max, "
+                             f"got {self.spread_min} and {self.spread_max}")
+        lo, hi = self.area_min, self.area_max
         if not (0.0 < lo <= hi < 1.0):
-            raise ValueError(f"bad anomaly_area_range {self.anomaly_area_range}")
+            raise ValueError(f"need 0 < area_min <= area_max < 1, got {lo} and {hi}")
         # the same inclusive area-fraction test _sample_rectangle applies to a draw
         if not any(lo <= rh * rw / (h * w) <= hi
                    for rh in range(1, h + 1) for rw in range(1, w + 1)):
-            raise ValueError(f"no rectangle on grid {self.grid} has an area fraction "
-                             f"inside anomaly_area_range {self.anomaly_area_range}")
+            raise ValueError(f"no rectangle on the {h} x {w} grid has an area fraction "
+                             f"between area_min {lo} and area_max {hi}")
         if min(self.train_normal, self.test_normal, self.test_anomalous) < 1:
             raise ValueError("image counts must be >= 1")
         if self.train_noise < 0:
             raise ValueError("train_noise must be >= 0")
 
 
-def _sample_rectangle(rng, h, w, area_range):
-    """Axis-aligned rectangle whose area fraction is inside area_range."""
-    lo, hi = area_range
+def _sample_rectangle(rng, h, w, lo, hi):
+    """Axis-aligned rectangle whose area fraction is inside [lo, hi]."""
     total = h * w
     for _ in range(1000):
         frac = rng.uniform(lo, hi)
@@ -86,11 +90,11 @@ def _sample_rectangle(rng, h, w, area_range):
 
 
 def _make_image(rng, center, spread, cfg, anomalous):
-    h, w = cfg.grid
+    h, w = cfg.grid_h, cfg.grid_w
     feats = center[:, None, None] + spread * rng.normal(size=(cfg.feat_dim, h, w))
     mask = None
     if anomalous:
-        top, left, rh, rw = _sample_rectangle(rng, h, w, cfg.anomaly_area_range)
+        top, left, rh, rw = _sample_rectangle(rng, h, w, cfg.area_min, cfg.area_max)
         direction = rng.normal(size=cfg.feat_dim)
         direction /= np.linalg.norm(direction)
         shift = cfg.anomaly_rel_magnitude * spread * direction
@@ -104,7 +108,7 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     """Generate feature tensors, masks, and a manifest under out_dir.
 
     Class centers sit on a sphere of radius center_radius; per-class
-    spreads are log-uniform over spread_range. The output is a pure
+    spreads are log-uniform over [spread_min, spread_max]. The output is a pure
     function of (cfg, seed): repeated runs are byte-identical.
     """
     cfg.validate()
@@ -115,7 +119,7 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     master = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     directions = master.normal(size=(cfg.k_classes, cfg.feat_dim))
     centers = cfg.center_radius * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    log_lo, log_hi = np.log(cfg.spread_range[0]), np.log(cfg.spread_range[1])
+    log_lo, log_hi = np.log(cfg.spread_min), np.log(cfg.spread_max)
     spreads = np.exp(master.uniform(log_lo, log_hi, size=cfg.k_classes))
 
     entries = []

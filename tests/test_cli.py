@@ -3,7 +3,7 @@ import filecmp
 import json
 import operator
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +11,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scorealign import cli, synth
-from scorealign.align import normalize_meanmax, read_stats_csv
+from scorealign.align import VARIANTS, normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
+    ACTIVATIONS,
+    STRUCTURES,
     HeadConfig,
     TrainConfig,
     load_checkpoint,
@@ -287,6 +289,19 @@ class TestExitCodes:
                      "--out", str(pipeline / "nope"), "--mode", "regressor"]) == 1
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--mode", "oracle"], "--stats"),
+        (["--mode", "classifier", "--stats", "{root}/stats.csv"], "--model"),
+    ], ids=["oracle-without-stats", "classifier-without-model"])
+    def test_align_without_its_scale_source_is_usage_error(
+            self, pipeline, tmp_path, capsys, argv, named):
+        out = tmp_path / "aligned"
+        assert main(["align", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--out", str(out)] + [a.format(root=pipeline) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and named in err
+        assert not out.exists()
+
     def test_train_regressor_without_maps_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "reg"
         assert main(["train-head", "--data", str(pipeline / "data"), "--mode", "regressor",
@@ -349,10 +364,10 @@ class TestExitCodes:
         assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,field", [
-        (["--grid-h", "2", "--grid-w", "2"], "anomaly_area_range"),
-        (["--area-min", "0.3", "--area-max", "0.35"], "anomaly_area_range"),
-        (["--grid-h", "0"], "grid"),
-        (["--grid-w", "-1"], "grid"),
+        (["--grid-h", "2", "--grid-w", "2"], "area_min"),
+        (["--area-min", "0.3", "--area-max", "0.35"], "area_min"),
+        (["--grid-h", "0"], "grid_h"),
+        (["--grid-w", "-1"], "grid_w"),
         (["--feat-dim", "0"], "feat_dim"),
     ], ids=["grid-2x2", "area-between-fractions", "grid-h-0", "grid-w-neg", "feat-dim-0"])
     def test_gen_unusable_config_is_data_error_before_writing(
@@ -409,7 +424,25 @@ class TestExitCodes:
         (lambda header: {**header, "in_channels": "4"},
          'head.json: in_channels must be an integer, got "4"'),
         (lambda header: [header], "head.json: config has unknown keys []"),
-    ], ids=["in-channels-str", "json-list"])
+        (lambda header: {**header, "target_offset": ["a", "b"]},
+         'head.json: target_offset must be a list of 2 numbers, got ["a", "b"]'),
+        # one offset would broadcast over all 4 channels
+        (lambda header: {**header, "input_offset": [0.0]},
+         "head.json: input_offset must be a list of 4 numbers, got [0.0]"),
+        (lambda header: {**header, "in_channels": 0}, "head.json: in_channels must be >= 1, got 0"),
+        (lambda header: {**header, "class_labels": 5},
+         "head.json: class_labels must be null or a list of at least 2 integers, got 5"),
+        (lambda header: {k: v for k, v in header.items() if k != "n_params"},
+         "head.json: n_params must be an integer, got null"),
+        (lambda header: {k: v for k, v in header.items() if k != "seed"},
+         "head.json: seed must be an integer, got null"),
+        # a 2lin head has two weights and two biases
+        (lambda header: {**header, "n_params": 5}, "head.json: n_params is 5, its config has 4"),
+        (lambda header: {**header, "config": {**header["config"], "hidden_dim": 8}},
+         "head.json: param 0 has shape (16, 4), not (8, 4)"),
+    ], ids=["in-channels-str", "json-list", "target-offset-str", "input-offset-short",
+            "in-channels-0", "class-labels-int", "n-params-missing", "seed-missing",
+            "n-params-off", "param-shape"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -453,6 +486,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{manifest}: " in err and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["stats", "--maps", "{root}/maps"], "stats needs class_ids"),
+        (["train-head", "--mode", "classifier"], "train-head --mode classifier needs class_ids"),
+    ], ids=["stats", "train-head-classifier"])
+    def test_train_images_without_class_ids_are_data_error(
+            self, pipeline, tmp_path, capsys, argv, named):
+        manifest = _manifest_copy(pipeline, tmp_path / "data", _drop_class_ids("train"))
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(manifest.parent), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_with_missing_score_map_is_data_error(self, pipeline, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(pipeline / "maps", maps)
+        gone = sorted(maps.glob("c00_testa_*.adt"))[0]
+        gone.unlink()
+        assert main(["eval", "--data", str(pipeline / "data"), "--maps", str(maps),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"{gone.stem}: missing score map {gone}" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_report_rejects_non_metrics_csv(self, pipeline, tmp_path, capsys):
         assert main(["report", "--data", str(pipeline / "data"),
@@ -502,8 +558,8 @@ class TestExitCodes:
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("config,message", [
-        ({"grid": 4}, "grid must be a list of 2 integers"),
-        ({"grid": [4, "4"]}, "grid must be a list of 2 integers"),
+        ({"grid_h": [4]}, "grid_h must be an integer, got [4]"),
+        ({"grid_w": "4"}, 'grid_w must be an integer, got "4"'),
         ({"k_classes": "3"}, "k_classes must be an integer"),
         ({"k_classes": 3.0}, "k_classes must be an integer"),
         ({"center_radius": True}, "center_radius must be a number"),
@@ -568,7 +624,30 @@ def _config_defaults_checked(argv) -> set:
     return checked
 
 
+def _action(subcommand, dest):
+    """The parser action of `subcommand` whose dest is `dest`."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+    (action,) = [a for a in subparsers.choices[subcommand]._actions if a.dest == dest]
+    return action
+
+
 class TestFlagDefaults:
+    def test_gen_flags_are_the_synth_config_fields(self):
+        """One name per setting: gen's flags parse to SynthConfig's fields,
+        with their default values and types."""
+        parsed = vars(build_parser().parse_args(["gen", "--out", "o"]))
+        for key in ("subcommand", "func", "out", "config"):
+            del parsed[key]
+        want = asdict(synth.SynthConfig())
+        assert parsed == want
+        assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in want.items()}
+
+    def test_choice_flags_offer_each_name_set(self):
+        assert _action("train-head", "structure").choices == sorted(STRUCTURES)
+        assert _action("train-head", "activation").choices == tuple(ACTIVATIONS)
+        assert _action("train-head", "target").choices == VARIANTS
+        assert _action("align", "variant").choices == VARIANTS
+
     def test_train_head_defaults_are_the_config_defaults(self):
         checked = _config_defaults_checked(["train-head", "--data", "d", "--out", "o"])
         assert checked == {f.name for f in fields(HeadConfig) + fields(TrainConfig)}
@@ -616,7 +695,7 @@ class TestAblateCommand:
 class TestGenCommand:
     def test_config_keys_win_and_flags_fill_the_rest(self, tmp_path):
         config = tmp_path / "synth.json"
-        config.write_text(json.dumps({"k_classes": 2, "grid": [6, 6], "train_normal": 3,
+        config.write_text(json.dumps({"k_classes": 2, "grid_h": 6, "grid_w": 6, "train_normal": 3,
                                       "test_normal": 2, "test_anomalous": 2, "seed": 1}))
         assert main(["gen", "--out", str(tmp_path / "from_config"), "--config", str(config),
                      "--k-classes", "4", "--seed", "5", "--feat-dim", "3"]) == 0

@@ -19,7 +19,7 @@ from scorealign.synth import (
 )
 from scorealign.tensorio import read_tensor
 
-SMALL = dict(k_classes=3, grid=(8, 8), feat_dim=4,
+SMALL = dict(k_classes=3, grid_h=8, grid_w=8, feat_dim=4,
              train_normal=10, test_normal=5, test_anomalous=5)
 
 
@@ -33,9 +33,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(k_classes=1).validate()
         with pytest.raises(ValueError):
-            SynthConfig(spread_range=(0.0, 1.0)).validate()
+            SynthConfig(spread_min=0.0).validate()
         with pytest.raises(ValueError):
-            SynthConfig(anomaly_area_range=(0.5, 0.1)).validate()
+            SynthConfig(area_min=0.5, area_max=0.1).validate()
         with pytest.raises(ValueError):
             SynthConfig(train_normal=0).validate()
 
@@ -67,7 +67,7 @@ class TestGenerate:
             assert (e.mask_path is not None) == (e.label == "anomalous")
 
     def test_empirical_spread_matches_config(self, tmp_path):
-        cfg = SynthConfig(k_classes=3, grid=(16, 16), feat_dim=4,
+        cfg = SynthConfig(k_classes=3, grid_h=16, grid_w=16, feat_dim=4,
                           train_normal=30, test_normal=1, test_anomalous=1, seed=2)
         man = generate(cfg, tmp_path)
         with open(tmp_path / "synth_config.json") as f:
@@ -79,7 +79,7 @@ class TestGenerate:
             # centered per channel; pooled std estimates the class spread s_c
             centered = per_class - per_class.mean(axis=(0, 2, 3), keepdims=True)
             s_hat = float(np.std(centered))
-            lo, hi = cfg.spread_range
+            lo, hi = cfg.spread_min, cfg.spread_max
             assert lo * 0.9 <= s_hat <= hi * 1.1
             # ~30 * 256 * 4 samples: within 10% of the true spread
             # (true value unknown here, so check against observed maxima dispersion)
@@ -95,7 +95,7 @@ class TestGenerate:
     def test_anomaly_masks_respect_area_range(self, tmp_path):
         cfg = SynthConfig(**SMALL, seed=9)
         man = generate(cfg, tmp_path)
-        lo, hi = cfg.anomaly_area_range
+        lo, hi = cfg.area_min, cfg.area_max
         n_checked = 0
         for e in man.split("test"):
             if e.mask_path is None:
@@ -108,7 +108,7 @@ class TestGenerate:
 
     def test_anomaly_shifts_features_inside_mask_only(self, tmp_path):
         cfg = SynthConfig(**SMALL, seed=4, anomaly_rel_magnitude=50.0,
-                          spread_range=(2.0, 2.0))
+                          spread_min=2.0, spread_max=2.0)
         man = generate(cfg, tmp_path)
         e = next(x for x in man.split("test") if x.mask_path)
         feats = read_tensor(man.resolve(e.feature_path))
@@ -223,8 +223,8 @@ class TestScaleMismatchMechanism:
     def test_mixed_pooling_underperforms_macro(self, tmp_path):
         """A small instance of the headline effect: raw nearest-neighbor
         scores are fine per class but collapse when pooled across classes."""
-        cfg = SynthConfig(k_classes=2, grid=(12, 12), feat_dim=4,
-                          spread_range=(0.25, 4.0), train_normal=40,
+        cfg = SynthConfig(k_classes=2, grid_h=12, grid_w=12, feat_dim=4,
+                          spread_min=0.25, spread_max=4.0, train_normal=40,
                           test_normal=12, test_anomalous=12, seed=6)
         man = generate(cfg, tmp_path)
         train = _load_features(man, "train")

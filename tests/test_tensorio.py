@@ -55,6 +55,15 @@ class TestTensorRoundTrip:
         with pytest.raises(TensorFormatError, match="non-finite"):
             write_tensor(tmp_path / "t.adt", np.array([np.inf, 1.0]))
 
+    @pytest.mark.parametrize("arr,match", [
+        (np.float64(1.0), "ndim"),
+        (np.ones((2, 0)), "positive"),
+    ], ids=["0-d", "zero-size"])
+    def test_unwritable_shape_rejected(self, tmp_path, arr, match):
+        with pytest.raises(TensorFormatError, match=match):
+            write_tensor(tmp_path / "t.adt", arr)
+        assert not (tmp_path / "t.adt").exists()
+
     def test_unsupported_dtype(self, tmp_path):
         with pytest.raises(TensorFormatError, match="dtype"):
             write_tensor(tmp_path / "t.adt", np.array([1, 2], dtype=np.int32))
@@ -75,6 +84,19 @@ class TestTensorReadErrors:
         write_tensor(path, np.ones(4))
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(TensorFormatError, match="length"):
+            read_tensor(path)
+
+    # a valid file holds 4 magic + 1 dtype + 1 ndim + 4 dim bytes, then 4 * 8 payload bytes
+    @pytest.mark.parametrize("edit,match", [
+        (lambda raw: raw[:5], "truncated header"),
+        (lambda raw: raw[:8], "truncated dims"),
+        (lambda raw: raw[:6] + bytes(4) + raw[10:], r"zero dim in shape \(0,\)"),
+    ], ids=["header", "dims", "zero-dim"])
+    def test_malformed_header(self, tmp_path, edit, match):
+        path = tmp_path / "t.adt"
+        write_tensor(path, np.ones(4))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(TensorFormatError, match=match):
             read_tensor(path)
 
     def test_shape_payload_mismatch(self, tmp_path):
@@ -137,6 +159,16 @@ class TestManifest:
         m = _manifest([ImageEntry("a", "train", "anomalous")])
         with pytest.raises(ManifestError, match="train"):
             write_manifest(tmp_path / "m.json", m)
+
+    @pytest.mark.parametrize("split,label,match", [
+        ("val", "normal", "a: invalid split 'val'"),
+        ("test", "odd", "a: invalid label 'odd'"),
+    ], ids=["split", "label"])
+    def test_unknown_split_or_label_rejected(self, tmp_path, split, label, match):
+        path = tmp_path / "m.json"
+        write_json(path, {"images": [{"image_id": "a", "split": split, "label": label}]})
+        with pytest.raises(ManifestError, match=match):
+            read_manifest(path)
 
     def test_mask_on_normal_rejected(self):
         m = _manifest([ImageEntry("a", "test", "normal", mask_path="m.adt")])

@@ -63,6 +63,21 @@ def _load_features(manifest: DatasetManifest, split: str) -> dict[str, np.ndarra
     return {e.image_id: read_tensor(_feature_path(manifest, e)) for e in manifest.split(split)}
 
 
+def _read_train_stack(manifest: DatasetManifest) -> tuple[list[ImageEntry], np.ndarray]:
+    """The train entries in id order and their features, read into one float64 stack."""
+    entries = sorted(manifest.split("train"), key=lambda e: e.image_id)
+    if not entries:
+        raise ManifestError("empty training set")
+    for row, e in enumerate(entries):
+        f = read_tensor(_feature_path(manifest, e))
+        if row == 0:
+            x = np.empty((len(entries), *f.shape))
+        if f.shape != x.shape[1:]:
+            raise TensorFormatError(f"{e.image_id}: features {f.shape}, not {x.shape[1:]}")
+        x[row] = f
+    return entries, x
+
+
 def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[str, np.ndarray]:
     out = {}
     for e in manifest.split(split):
@@ -89,15 +104,17 @@ def _top_fraction(text: str):
 
 # HeadConfig field -> the train-head flag (dest) that sets it, where the names differ
 _HEAD_FLAGS = {"dropout_rate": "dropout"}
-# config field -> the names its flag accepts
+# flag dest (a config field name) -> the names the flag accepts
 _CHOICES = {"structure": sorted(heads.STRUCTURES), "activation": tuple(heads.ACTIVATIONS),
             "target": align_mod.VARIANTS}
 
 
-def _add_field_flag(p, dest: str, default, choices=None) -> None:
-    """--dest typed and defaulted by the config field default it sets."""
-    p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
-                   choices=choices)
+def _add_flags(p, **defaults) -> None:
+    """One --dest flag per keyword, typed and defaulted by its value; a dest
+    with a _CHOICES entry accepts only those names."""
+    for dest, default in defaults.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                       choices=_CHOICES.get(dest))
 
 
 def cmd_gen(args, manifest) -> str:
@@ -169,19 +186,20 @@ def cmd_stats(args, manifest) -> str:
 def cmd_train_head(args, manifest) -> str:
     if args.mode == "regressor" and args.maps is None:
         raise UsageError("train-head --mode regressor needs --maps")
-    features = _load_features(manifest, "train")
+    entries, x = _read_train_stack(manifest)
     head_cfg = heads.HeadConfig(**{f.name: getattr(args, _HEAD_FLAGS.get(f.name, f.name))
                                    for f in fields(heads.HeadConfig)})
     train_cfg = heads.TrainConfig(**{f.name: getattr(args, f.name)
                                      for f in fields(heads.TrainConfig)})
     if args.mode == "regressor":
         maps = _load_maps(manifest, Path(args.maps), "train")
-        model = heads.train_regressor(features, maps, head_cfg, train_cfg)
+        model = heads.train_regressor(x, [maps[e.image_id] for e in entries],
+                                      head_cfg, train_cfg)
     else:
-        class_ids = {e.image_id: e.class_id for e in manifest.split("train")}
-        if any(c is None for c in class_ids.values()):
+        class_ids = [e.class_id for e in entries]
+        if None in class_ids:
             raise ManifestError("train-head --mode classifier needs class_ids")
-        model = heads.train_classifier(features, class_ids, head_cfg, train_cfg)
+        model = heads.train_classifier(x, class_ids, head_cfg, train_cfg)
     out_dir = Path(args.out)
     heads.save_checkpoint(model, out_dir)
     final = model.loss_trace[-1] if model.loss_trace else float("nan")
@@ -302,8 +320,10 @@ ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 
 def cmd_ablate(args, manifest) -> str:
-    features = _load_features(manifest, "train")
-    train_maps = _load_maps(manifest, Path(args.maps), "train")
+    entries, x = _read_train_stack(manifest)
+    norm = heads.standardize(x, range(len(x)))
+    maps = _load_maps(manifest, Path(args.maps), "train")
+    train_maps = [maps[e.image_id] for e in entries]
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_features = _load_features(manifest, "test")
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
@@ -317,7 +337,7 @@ def cmd_ablate(args, manifest) -> str:
             head_cfg = heads.HeadConfig(structure=structure, hidden_dim=args.hidden_dim,
                                         dropout_rate=dropout)
             train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
-            model = heads.train_regressor(features, train_maps, head_cfg, train_cfg)
+            model = heads.train_regressor(x, train_maps, head_cfg, train_cfg, norm)
             aligned = align_mod.align_maps(
                 test_maps, lambda image_id: heads.predicted_scale(model, test_features[image_id]))
             for tf in ABLATION_TOP_FRACTIONS:
@@ -349,12 +369,10 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "gen", cmd_gen, "generate the synthetic benchmark", "out")
     p.add_argument("--config", help="JSON file with SynthConfig fields (overrides flags)")
-    for f in fields(synth.SynthConfig):
-        _add_field_flag(p, f.name, f.default)
+    _add_flags(p, **{f.name: f.default for f in fields(synth.SynthConfig)})
 
     p = _subcommand(sub, "fit-base", cmd_fit_base, "fit the coreset memory bank", "data", "out")
-    p.add_argument("--m-per-image", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, m_per_image=16, seed=0)
 
     p = _subcommand(sub, "score", cmd_score, "nearest-neighbor score maps for a split",
                     "data", "coreset", "out")
@@ -367,8 +385,8 @@ def build_parser() -> _Parser:
                     "data", "out")
     p.add_argument("--maps", help="score maps dir (required for regressor)")
     p.add_argument("--mode", choices=("regressor", "classifier"), default="regressor")
-    for f in fields(head) + fields(train):
-        _add_field_flag(p, _HEAD_FLAGS.get(f.name, f.name), f.default, _CHOICES.get(f.name))
+    _add_flags(p, **{_HEAD_FLAGS.get(f.name, f.name): f.default
+                     for f in fields(head) + fields(train)})
 
     p = _subcommand(sub, "align", cmd_align, "calibrate score maps", "data", "maps", "out")
     p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
@@ -392,19 +410,12 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "grad-check", cmd_grad_check,
                     "finite-difference check of every head structure")
-    p.add_argument("--channels", type=int, default=6)
-    p.add_argument("--grid", type=int, default=6)
-    p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--dropout", type=float, default=head.dropout_rate)
-    p.add_argument("--activation", choices=_CHOICES["activation"], default=head.activation)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, channels=6, grid=6, hidden_dim=16, dropout=head.dropout_rate,
+               activation=head.activation, tolerance=1e-4, seed=0)
 
     p = _subcommand(sub, "ablate", cmd_ablate, "sweep structure x dropout x aggregation",
                     "data", "maps", "out")
-    p.add_argument("--hidden-dim", type=int, default=head.hidden_dim)
-    p.add_argument("--iterations", type=int, default=train.iterations)
-    p.add_argument("--seed", type=int, default=train.seed)
+    _add_flags(p, hidden_dim=head.hidden_dim, iterations=train.iterations, seed=train.seed)
 
     return parser
 

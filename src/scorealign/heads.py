@@ -10,8 +10,10 @@ Regression targets are each image's own (mean, max) or (mean, std) pixel
 scores; targets are z-normalized per training run so the smooth-L1
 threshold alpha is independent of the base scorer's scale. Input features
 are standardized per channel over the training set for the same reason
-(the fixed learning rate must not depend on the feature scale). Both sets
-of constants travel with the checkpoint.
+(the fixed learning rate must not depend on the feature scale), once, in
+place, on the float64 [N, C, H, W] stack training gathers its batches from;
+prediction applies the same elementwise formula to its one image. Both
+sets of constants travel with the checkpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -152,53 +154,44 @@ class HeadModel:
     class_labels: Optional[list] = None
 
 
-def _fit_input_norm(features: Mapping[str, np.ndarray], ids: Sequence[str]):
-    """Per-channel mean/std over all locations of all training images."""
-    total = None
-    total_sq = None
-    count = 0
-    for image_id in ids:
-        f = np.asarray(features[image_id], dtype=np.float64)
-        s = f.sum(axis=(1, 2))
-        sq = (f**2).sum(axis=(1, 2))
+def standardize(x: np.ndarray, rows: Sequence[int]):
+    """Standardize the [N, C, H, W] float64 stack x in place by the per-channel
+    mean/std over all locations of the images x[rows], summed image by image
+    in row order; returns that (offset, scale)."""
+    total = total_sq = None
+    for row in rows:
+        s = x[row].sum(axis=(1, 2))
+        sq = (x[row]**2).sum(axis=(1, 2))
         total = s if total is None else total + s
         total_sq = sq if total_sq is None else total_sq + sq
-        count += f.shape[1] * f.shape[2]
+    count = len(rows) * x.shape[2] * x.shape[3]
     mean = total / count
-    var = np.maximum(total_sq / count - mean**2, 0.0)
-    return mean, np.maximum(np.sqrt(var), 1e-8)
-
-
-def _stack_features(
-    features: Mapping[str, np.ndarray],
-    ids: Sequence[str],
-    offset: np.ndarray,
-    scale: np.ndarray,
-) -> np.ndarray:
-    x = np.stack([np.asarray(features[i], dtype=np.float64) for i in ids])
-    return (x - offset[None, :, None, None]) / scale[None, :, None, None]
+    scale = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-8)
+    x -= mean[:, None, None]
+    x /= scale[:, None, None]
+    return mean, scale
 
 
 def _fit(
-    features: Mapping[str, np.ndarray],
-    ids: Sequence[str],
+    x: np.ndarray,
+    rows: np.ndarray,
+    norm: Optional[tuple[np.ndarray, np.ndarray]],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
     out_dim: int,
     batch_loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
     **model_fields,
 ) -> HeadModel:
-    """The SGD loop both heads share: inputs standardized over `ids`, batches
-    drawn from `ids`, batch_loss(output, batch indices) -> (mean loss, output
-    gradient), clipped steps, and the tail average as the returned model."""
+    """The SGD loop both heads share: batches x[rows[idx]] of the stack x
+    (standardized over rows first if norm is None), batch_loss(output, idx)
+    -> (mean loss, output gradient), clipped steps, the tail average as model."""
     train_cfg.validate()
-    in_channels = int(np.asarray(features[ids[0]]).shape[0])
-    in_offset, in_scale = _fit_input_norm(features, ids)
+    in_offset, in_scale = standardize(x, rows) if norm is None else norm
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
-    network = build_head(head_cfg, in_channels, out_dim, rng)
+    network = build_head(head_cfg, x.shape[1], out_dim, rng)
     optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
 
-    model = HeadModel(config=head_cfg, in_channels=in_channels, network=network,
+    model = HeadModel(config=head_cfg, in_channels=x.shape[1], network=network,
                       seed=train_cfg.seed, input_offset=in_offset, input_scale=in_scale,
                       **model_fields)
     params = network.parameters()
@@ -206,9 +199,8 @@ def _fit(
     tail_start = iterations - int(AVG_FRAC * iterations)
     tail_sums, tail_count = None, 0  # running parameter sums from tail_start on
     for it in range(iterations):
-        idx = rng.integers(0, len(ids), size=train_cfg.batch_size)
-        x = _stack_features(features, [ids[i] for i in idx], in_offset, in_scale)
-        out = network.forward(x, mode="train", rng=rng)
+        idx = rng.integers(0, len(rows), size=train_cfg.batch_size)
+        out = network.forward(x[rows[idx]], mode="train", rng=rng)
         loss, grad = batch_loss(out, idx)
         if not np.isfinite(loss):
             raise net.NumericalError(f"non-finite loss at iteration {it}")
@@ -229,29 +221,27 @@ def _fit(
 
 
 def train_regressor(
-    features: Mapping[str, np.ndarray],
-    score_maps: Mapping[str, np.ndarray],
+    x: np.ndarray,
+    score_maps: Sequence[np.ndarray],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
+    norm: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> HeadModel:
     """Train the statistics regressor on normal training images.
+
+    x is the [N, C, H, W] float64 stack of their features, score_maps their
+    maps row for row. With norm None, x holds raw features and is standardized
+    in place; else x was standardized by norm = (offset, scale) (`standardize`).
 
     Targets are (u_img, gamma_img) for the meanmax variant or
     (u_img, sigma_img) for the meanstd variant; dropout is active
     throughout training as the pseudo-anomaly noise source.
     """
-    ids = sorted(features)
-    if not ids:
-        raise ValueError("empty training set")
-    missing = [i for i in ids if i not in score_maps]
-    if missing:
-        raise ValueError(f"missing score maps for {missing[:5]}")
-
+    if not len(x) or len(score_maps) != len(x):
+        raise ValueError(f"{len(score_maps)} score maps for {len(x)} training images")
     spread = np.max if head_cfg.target == "meanmax" else np.std
-    targets = np.empty((len(ids), 2))
-    for row, image_id in enumerate(ids):
-        v = np.asarray(score_maps[image_id], dtype=np.float64).ravel()
-        targets[row] = np.mean(v), spread(v)
+    flat_maps = (np.asarray(m, dtype=np.float64).ravel() for m in score_maps)
+    targets = np.array([(np.mean(v), spread(v)) for v in flat_maps])
     t_offset = targets.mean(axis=0)
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale
@@ -260,50 +250,50 @@ def train_regressor(
         loss_elems, grad = net.smooth_l1(out, targets_n[idx], head_cfg.alpha)
         return float(loss_elems.sum(axis=1).mean()), grad
 
-    return _fit(features, ids, head_cfg, train_cfg, 2, batch_loss,
+    return _fit(x, np.arange(len(x)), norm, head_cfg, train_cfg, 2, batch_loss,
                 target_offset=t_offset, target_scale=t_scale)
 
 
 def train_classifier(
-    features: Mapping[str, np.ndarray],
-    class_ids: Mapping[str, int],
+    x: np.ndarray,
+    class_ids: Sequence[int],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
 ) -> HeadModel:
     """Train the k-way class head with cross-entropy.
 
-    Every HOLDOUT_EVERY-th image (in sorted id order) is held out and
-    its post-training accuracy recorded on the model.
+    x is the [N, C, H, W] float64 stack of the raw features, class_ids their
+    class ids row for row. Every HOLDOUT_EVERY-th row is held out and its
+    post-training accuracy recorded on the model; x is standardized in place
+    by the norm of the other rows.
     """
-    ids = sorted(features)
-    if not ids:
-        raise ValueError("empty training set")
-    missing = [i for i in ids if i not in class_ids]
-    if missing:
-        raise ValueError(f"missing class labels for {missing[:5]}")
-    classes = sorted(set(class_ids[i] for i in ids))
+    if not len(x) or len(class_ids) != len(x):
+        raise ValueError(f"{len(class_ids)} class ids for {len(x)} training images")
+    classes, labels = np.unique(class_ids, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("classification needs at least 2 classes")
-    class_index = {c: i for i, c in enumerate(classes)}
 
-    # at least 2 ids (2 classes), so both the holdout and the rest are non-empty
-    holdout = ids[::HOLDOUT_EVERY]
-    held = set(holdout)
-    train_ids = [i for i in ids if i not in held]
-    labels = np.array([class_index[class_ids[i]] for i in train_ids])
+    # at least 2 rows (2 classes), so both the holdout and the rest are non-empty
+    held = np.arange(len(x)) % HOLDOUT_EVERY == 0
+    rows = np.flatnonzero(~held)
 
     def batch_loss(out, idx):
-        loss_elems, grad = net.cross_entropy(out, labels[idx])
+        loss_elems, grad = net.cross_entropy(out, labels[rows[idx]])
         return float(loss_elems.mean()), grad
 
     k = len(classes)
-    model = _fit(features, train_ids, head_cfg, train_cfg, k, batch_loss,
-                 target_offset=np.zeros(k), target_scale=np.ones(k), class_labels=classes)
-    x = _stack_features(features, holdout, model.input_offset, model.input_scale)
-    pred = np.argmax(model.network.forward(x, mode="eval"), axis=1)
-    truth = np.array([class_index[class_ids[i]] for i in holdout])
-    model.holdout_accuracy = float(np.mean(pred == truth))
+    model = _fit(x, rows, None, head_cfg, train_cfg, k, batch_loss, target_offset=np.zeros(k),
+                 target_scale=np.ones(k), class_labels=classes.tolist())
+    pred = np.argmax(model.network.forward(x[held], mode="eval"), axis=1)
+    model.holdout_accuracy = float(np.mean(pred == labels[held]))
     return model
+
+
+def _forward(model: HeadModel, features: np.ndarray) -> np.ndarray:
+    """The eval-mode output for one image, standardized by the model's input norm."""
+    x = ((np.asarray(features, dtype=np.float64) - model.input_offset[:, None, None])
+         / model.input_scale[:, None, None])
+    return model.network.forward(x[None], mode="eval")[0]
 
 
 def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
@@ -313,9 +303,7 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
-    x = _stack_features({"_": features}, ["_"], model.input_offset, model.input_scale)
-    out = model.network.forward(x, mode="eval")[0]
-    out = out * model.target_scale + model.target_offset
+    out = _forward(model, features) * model.target_scale + model.target_offset
     return float(out[0]), float(out[1])
 
 
@@ -323,8 +311,7 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     """Argmax class for one image; ties break toward the lowest class id."""
     if model.class_labels is None:
         raise ValueError("predict_class needs a classifier model, got a regressor")
-    x = _stack_features({"_": features}, ["_"], model.input_offset, model.input_scale)
-    logits = model.network.forward(x, mode="eval")[0]
+    logits = _forward(model, features)
     # np.argmax returns the first (lowest) index on ties
     return model.class_labels[int(np.argmax(logits))]
 
@@ -341,8 +328,9 @@ def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, floa
     return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
-# the HeadModel arrays head.json stores as lists of floats
+# the HeadModel arrays head.json stores as lists of floats, and the fields it stores as they are
 _NORM_ARRAYS = ("target_offset", "target_scale", "input_offset", "input_scale")
+_PLAIN_FIELDS = ("in_channels", "seed", "loss_trace", "holdout_accuracy", "class_labels")
 
 
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
@@ -391,6 +379,14 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
                                          and all(type(c) is int for c in class_labels)):
         raise ValueError(f"{path}: class_labels must be null or a list of at least 2 integers, "
                          f"got {json.dumps(class_labels)}")
+    loss_trace = header.get("loss_trace")
+    if not isinstance(loss_trace, list):
+        raise ValueError(f"{path}: loss_trace must be a list of numbers, "
+                         f"got {json.dumps(loss_trace)}")
+    for i, loss in enumerate(loss_trace):
+        check_json(path, f"loss_trace[{i}]", loss, 0.0)
+    if header.get("holdout_accuracy") is not None:
+        check_json(path, "holdout_accuracy", header["holdout_accuracy"], 0.0)
     out_dim = 2 if class_labels is None else len(class_labels)
     for name in _NORM_ARRAYS:
         width = in_channels if name.startswith("input") else out_dim
@@ -406,13 +402,6 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         if value.shape != p.value.shape:
             raise ValueError(f"{path}: param {i} has shape {value.shape}, not {p.value.shape}")
         p.value[...] = value
-    return HeadModel(
-        config=cfg,
-        in_channels=in_channels,
-        network=network,
-        seed=header["seed"],
-        **{name: np.array(header[name]) for name in _NORM_ARRAYS},
-        loss_trace=list(header.get("loss_trace", [])),
-        holdout_accuracy=header.get("holdout_accuracy"),
-        class_labels=class_labels,
-    )
+    return HeadModel(config=cfg, network=network,
+                     **{name: np.array(header[name]) for name in _NORM_ARRAYS},
+                     **{name: header.get(name) for name in _PLAIN_FIELDS})

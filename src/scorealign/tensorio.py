@@ -121,22 +121,22 @@ class DatasetManifest:
     def resolve(self, rel_path: str) -> Path:
         return self.root / rel_path
 
-    def validate(self) -> None:
+    def validate(self, where="manifest") -> None:
+        """Raise ManifestError naming `where` and the image on an invalid record."""
         seen: set[str] = set()
         for e in self.images:
             if e.image_id in seen:
-                raise ManifestError(f"duplicate image_id {e.image_id!r}")
+                raise ManifestError(f"{where}: duplicate image_id {e.image_id!r}")
             seen.add(e.image_id)
             if e.split not in VALID_SPLITS:
-                raise ManifestError(f"{e.image_id}: invalid split {e.split!r}")
+                raise ManifestError(f"{where}: {e.image_id}: invalid split {e.split!r}")
             if e.label not in VALID_LABELS:
-                raise ManifestError(f"{e.image_id}: invalid label {e.label!r}")
+                raise ManifestError(f"{where}: {e.image_id}: invalid label {e.label!r}")
             if e.split == "train" and e.label != "normal":
-                raise ManifestError(
-                    f"{e.image_id}: train split must contain only normal images"
-                )
+                raise ManifestError(f"{where}: {e.image_id}: train split must contain "
+                                    "only normal images")
             if e.mask_path is not None and e.label != "anomalous":
-                raise ManifestError(f"{e.image_id}: mask_path on a normal image")
+                raise ManifestError(f"{where}: {e.image_id}: mask_path on a normal image")
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -161,7 +161,7 @@ def read_manifest(path) -> DatasetManifest:
                            0 if f.name == "class_id" else "", ManifestError)
         images.append(ImageEntry(**rec))
     manifest = DatasetManifest(images=images, root=path.parent)
-    manifest.validate()
+    manifest.validate(path)
     return manifest
 
 

@@ -3,6 +3,8 @@ import filecmp
 import json
 import operator
 import shutil
+import tracemalloc
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -440,9 +442,16 @@ class TestExitCodes:
         (lambda header: {**header, "n_params": 5}, "head.json: n_params is 5, its config has 4"),
         (lambda header: {**header, "config": {**header["config"], "hidden_dim": 8}},
          "head.json: param 0 has shape (16, 4), not (8, 4)"),
+        (lambda header: {**header, "loss_trace": 5},
+         "head.json: loss_trace must be a list of numbers, got 5"),
+        (lambda header: {**header, "loss_trace": [0.5, "x"]},
+         'head.json: loss_trace[1] must be a number, got "x"'),
+        (lambda header: {**header, "holdout_accuracy": "high"},
+         'head.json: holdout_accuracy must be a number, got "high"'),
     ], ids=["in-channels-str", "json-list", "target-offset-str", "input-offset-short",
             "in-channels-0", "class-labels-int", "n-params-missing", "seed-missing",
-            "n-params-off", "param-shape"])
+            "n-params-off", "param-shape", "loss-trace-int", "loss-trace-str-entry",
+            "holdout-str"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -475,8 +484,19 @@ class TestExitCodes:
          ["eval", "--maps", "{root}/maps"], 'images[12]: class_id must be an integer, got "x"'),
         (lambda doc: doc["images"][12].pop("split"),
          ["eval", "--maps", "{root}/maps"], "images[12]: split must be a string, got null"),
+        (lambda doc: operator.setitem(doc["images"][0], "split", "val"),
+         ["stats", "--maps", "{root}/maps"], "c00_train_0000: invalid split 'val'"),
+        (lambda doc: operator.setitem(doc["images"][12], "label", "odd"),
+         ["eval", "--maps", "{root}/maps"], "c00_testn_0000: invalid label 'odd'"),
+        (lambda doc: operator.setitem(doc["images"][1], "image_id", "c00_train_0000"),
+         ["stats", "--maps", "{root}/maps"], "duplicate image_id 'c00_train_0000'"),
+        (lambda doc: operator.setitem(doc["images"][0], "label", "anomalous"),
+         ["fit-base"], "c00_train_0000: train split must contain only normal images"),
+        (lambda doc: operator.setitem(doc["images"][12], "mask_path", "m.adt"),
+         ["eval", "--maps", "{root}/maps"], "c00_testn_0000: mask_path on a normal image"),
     ], ids=["images-int", "record-str", "feature-path-int", "train-class-str", "image-id-int",
-            "class-float", "class-bool", "test-class-str", "split-missing"])
+            "class-float", "class-bool", "test-class-str", "split-missing", "split-val",
+            "label-odd", "duplicate-id", "anomalous-train", "mask-on-normal"])
     def test_malformed_manifest_is_data_error_naming_file(
             self, pipeline, tmp_path, capsys, edit, argv, named):
         manifest = _manifest_copy(pipeline, tmp_path / "data", edit)
@@ -690,6 +710,50 @@ class TestAblateCommand:
         assert len(lines) == 1 + 5 * 4 * 4  # structures x dropouts x aggregations
         cells = {(r.split(",")[0], r.split(",")[1]) for r in lines[1:]}
         assert len(cells) == 20
+
+
+class TestTrainStack:
+    """train-head and ablate read the train split once, straight into one float64 stack."""
+
+    @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
+    @pytest.mark.parametrize("argv", [
+        ["train-head", "--mode", "regressor", "--maps", "{root}/maps", "--structure", "2lin",
+         "--hidden-dim", "4", "--iterations", "2"],
+        ["train-head", "--mode", "classifier", "--structure", "2lin", "--hidden-dim", "4",
+         "--iterations", "2"],
+        ["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"],
+    ], ids=["regressor", "classifier", "ablate"])
+    def test_each_train_feature_file_is_read_once(self, pipeline, tmp_path, monkeypatch, argv):
+        reads = Counter()
+
+        def counted(path):
+            reads[Path(path)] += 1
+            return read_tensor(path)
+        monkeypatch.setattr(cli, "read_tensor", counted)
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(pipeline / "data"), "--out", str(tmp_path / "out")]) == 0
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        train = {man.resolve(e.feature_path) for e in man.split("train")}
+        assert {path: n for path, n in reads.items() if path in train} == dict.fromkeys(train, 1)
+
+    def test_train_head_peak_memory_is_the_stack(self, tmp_path):
+        data = str(tmp_path / "data")
+        assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
+                     "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
+                     "--test-anomalous", "1"]) == 0
+        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["train-head", "--data", data, "--mode", "classifier",
+                         "--out", str(tmp_path / "clf"), "--structure", "2lin",
+                         "--hidden-dim", "8", "--iterations", "3", "--batch-size", "2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # ~1.17x: the stack, its 10% holdout rows and the network; the float32
+        # features kept beside the stack would add half of it again (~1.69x)
+        assert peak < 1.3 * stack_bytes
 
 
 class TestGenCommand:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scorealign import net
 from scorealign.align import (
@@ -21,6 +24,7 @@ from scorealign.heads import (
     predict_stats,
     predicted_scale,
     save_checkpoint,
+    standardize,
     train_classifier,
     train_regressor,
 )
@@ -42,6 +46,13 @@ def _class_images(rng, center, spread, n, prefix):
         feats[f"{prefix}{i:03d}"] = f.astype(np.float32)
         maps[f"{prefix}{i:03d}"] = np.linalg.norm(spread * noise, axis=0)
     return feats, maps
+
+
+def _training_set(feats, per_image):
+    """The float64 stack of `feats` in sorted-id order and the matching rows
+    of `per_image` (score maps or class ids), as the CLI hands them over."""
+    ids = sorted(feats)
+    return np.stack([feats[i].astype(np.float64) for i in ids]), [per_image[i] for i in ids]
 
 
 def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None):
@@ -71,13 +82,55 @@ class TestImageStats:
 
         def targets(target):
             cfg = HeadConfig(structure="1lin", target=target)
-            return train_regressor(feats, maps, cfg, TrainConfig(iterations=1)).target_offset
+            return train_regressor(*_training_set(feats, maps), cfg,
+                                   TrainConfig(iterations=1)).target_offset
 
         u, gamma = targets("meanmax")
         u2, sigma = targets("meanstd")
         assert u == u2 == 1.5
         assert gamma == 3.0
         assert sigma == pytest.approx(np.std([0, 1, 2, 3]), abs=1e-15)
+
+
+class TestStandardize:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_image_reference_bitwise(self, data):
+        shape = tuple(data.draw(st.integers(1, n)) for n in (12, 4, 5, 5))
+        feats = data.draw(arrays(np.float32, shape, elements=st.floats(-1e3, 1e3, width=32)))
+        rows = sorted(data.draw(st.sets(st.integers(0, shape[0] - 1), min_size=1)))
+        # reference: each image cast on its own, its sums added in row order
+        total = total_sq = None
+        for row in rows:
+            f = feats[row].astype(np.float64)
+            s, sq = f.sum(axis=(1, 2)), (f**2).sum(axis=(1, 2))
+            total = s if total is None else total + s
+            total_sq = sq if total_sq is None else total_sq + sq
+        count = len(rows) * shape[2] * shape[3]
+        mean = total / count
+        std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-8)
+
+        x = feats.astype(np.float64)
+        offset, scale = standardize(x, rows)
+        assert offset.tobytes() == mean.tobytes()
+        assert scale.tobytes() == std.tobytes()
+        for row in range(shape[0]):
+            ref = (feats[row].astype(np.float64) - mean[:, None, None]) / std[:, None, None]
+            assert x[row].tobytes() == ref.tobytes()
+
+    def test_shared_standardized_stack_trains_the_same_head(self):
+        rng = np.random.default_rng(6)
+        feats, maps = _class_images(rng, np.ones(DIM), 2.0, 10, "x")
+        cfg, tc = HeadConfig(structure="1conv+2lin", hidden_dim=8), TrainConfig(iterations=20)
+        own = train_regressor(*_training_set(feats, maps), cfg, tc)
+        x, row_maps = _training_set(feats, maps)
+        norm = standardize(x, range(len(x)))
+        shared = [train_regressor(x, row_maps, cfg, tc, norm) for _ in range(2)]
+        for model in shared:
+            assert model.loss_trace == own.loss_trace
+            assert model.input_offset.tobytes() == own.input_offset.tobytes()
+            for pa, pb in zip(model.network.parameters(), own.network.parameters()):
+                assert pa.value.tobytes() == pb.value.tobytes()
 
 
 class TestBuildHead:
@@ -133,7 +186,8 @@ class TestRegressor:
         held_feats, held_maps = _class_images(rng, center, 1.0, 10, "ho")
         u_c = float(np.mean([m.mean() for m in maps.values()]))
         cfg = HeadConfig(structure="2lin", hidden_dim=32)
-        model = train_regressor(feats, maps, cfg, TrainConfig(iterations=400, seed=0))
+        model = train_regressor(*_training_set(feats, maps), cfg,
+                                TrainConfig(iterations=400, seed=0))
         rel_errs = [abs(predict_stats(model, f)[0] - u_c) / u_c
                     for f in held_feats.values()]
         assert float(np.median(rel_errs)) <= 0.10
@@ -149,7 +203,8 @@ class TestRegressor:
         h0, _ = _class_images(rng, c0, 0.25, 8, "ha")
         h1, _ = _class_images(rng, c1, 4.0, 8, "hb")
         cfg = HeadConfig(structure="2lin", hidden_dim=64)
-        model = train_regressor(feats, maps, cfg, TrainConfig(iterations=800, seed=0))
+        model = train_regressor(*_training_set(feats, maps), cfg,
+                                TrainConfig(iterations=800, seed=0))
         g0 = np.median([predict_stats(model, f)[1] for f in h0.values()])
         g1 = np.median([predict_stats(model, f)[1] for f in h1.values()])
         assert 8.0 <= g1 / g0 <= 32.0
@@ -159,7 +214,7 @@ class TestRegressor:
         rng = np.random.default_rng(102)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
         cfg = HeadConfig(structure="1lin")
-        model = train_regressor(feats, maps, cfg, TrainConfig(iterations=3))
+        model = train_regressor(*_training_set(feats, maps), cfg, TrainConfig(iterations=3))
         assert len(model.loss_trace) == 3
         u_hat, g_hat = predict_stats(model, next(iter(feats.values())))
         assert np.isfinite(u_hat) and np.isfinite(g_hat)
@@ -170,7 +225,7 @@ class TestRegressor:
         rng = np.random.default_rng(102)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
         with pytest.raises(ValueError, match=field):
-            train_regressor(feats, maps, HeadConfig(structure="1lin"),
+            train_regressor(*_training_set(feats, maps), HeadConfig(structure="1lin"),
                             TrainConfig(**{field: value}))
 
     def test_training_is_bitwise_reproducible(self):
@@ -178,8 +233,8 @@ class TestRegressor:
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 8, "x")
         cfg = HeadConfig(structure="1conv+2lin", hidden_dim=8)
         tc = TrainConfig(iterations=30, seed=7)
-        a = train_regressor(feats, maps, cfg, tc)
-        b = train_regressor(feats, maps, cfg, tc)
+        a = train_regressor(*_training_set(feats, maps), cfg, tc)
+        b = train_regressor(*_training_set(feats, maps), cfg, tc)
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
             assert pa.value.tobytes() == pb.value.tobytes()
         assert a.loss_trace == b.loss_trace
@@ -187,7 +242,8 @@ class TestRegressor:
     def test_prediction_is_deterministic(self):
         rng = np.random.default_rng(104)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 8, "x")
-        model = train_regressor(feats, maps, HeadConfig(dropout_rate=0.5, hidden_dim=8),
+        model = train_regressor(*_training_set(feats, maps),
+                                HeadConfig(dropout_rate=0.5, hidden_dim=8),
                                 TrainConfig(iterations=20))
         f = next(iter(feats.values()))
         assert predict_stats(model, f) == predict_stats(model, f)
@@ -195,9 +251,9 @@ class TestRegressor:
     def test_missing_score_map_rejected(self):
         rng = np.random.default_rng(105)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
-        del maps["x001"]
-        with pytest.raises(ValueError, match="x001"):
-            train_regressor(feats, maps, HeadConfig(), TrainConfig(iterations=1))
+        x, rows = _training_set(feats, maps)
+        with pytest.raises(ValueError, match="3 score maps for 4 training images"):
+            train_regressor(x, rows[:3], HeadConfig(), TrainConfig(iterations=1))
 
     def test_wrong_mode_rejected(self):
         model = _const_model([0.0, 1.0], class_labels=[0, 1])
@@ -205,8 +261,8 @@ class TestRegressor:
             predict_stats(model, np.zeros((DIM, *GRID), dtype=np.float32))
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            train_regressor({}, {}, HeadConfig(), TrainConfig())
+        with pytest.raises(ValueError, match="0 score maps for 0 training images"):
+            train_regressor(np.empty((0, DIM, *GRID)), [], HeadConfig(), TrainConfig())
 
 
 class TestClassifier:
@@ -223,7 +279,7 @@ class TestClassifier:
         rng = np.random.default_rng(200)
         feats, labels = self._two_class_data(rng)
         cfg = HeadConfig(structure="2lin", hidden_dim=32)
-        model = train_classifier(feats, labels, cfg, TrainConfig(iterations=300))
+        model = train_classifier(*_training_set(feats, labels), cfg, TrainConfig(iterations=300))
         assert model.holdout_accuracy == 1.0
 
     def test_shuffled_labels_give_chance_accuracy(self):
@@ -234,7 +290,7 @@ class TestClassifier:
         while len(set(labels.values())) < 4:  # ensure all 4 classes occur
             labels = {i: int(rng.integers(0, 4)) for i in sorted(feats)}
         cfg = HeadConfig(structure="2lin", hidden_dim=16)
-        model = train_classifier(feats, labels, cfg, TrainConfig(iterations=200))
+        model = train_classifier(*_training_set(feats, labels), cfg, TrainConfig(iterations=200))
         assert model.holdout_accuracy <= 0.6  # chance is 0.25
 
     def test_single_class_rejected(self):
@@ -242,13 +298,15 @@ class TestClassifier:
         feats, _ = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
         labels = {i: 0 for i in feats}
         with pytest.raises(ValueError, match="2 classes"):
-            train_classifier(feats, labels, HeadConfig(), TrainConfig(iterations=1))
+            train_classifier(*_training_set(feats, labels), HeadConfig(),
+                             TrainConfig(iterations=1))
 
     def test_out_dim_must_match_class_count(self):
         rng = np.random.default_rng(203)
         feats, _ = _class_images(rng, np.zeros(DIM), 1.0, 9, "x")
         labels = {i: n % 3 for n, i in enumerate(sorted(feats))}
-        model = train_classifier(feats, labels, HeadConfig(structure="2lin", hidden_dim=8),
+        model = train_classifier(*_training_set(feats, labels),
+                                 HeadConfig(structure="2lin", hidden_dim=8),
                                  TrainConfig(iterations=1))
         out = model.network.forward(np.zeros((1, DIM, *GRID)))
         assert out.shape == (1, 3)
@@ -263,7 +321,7 @@ class TestClassifier:
         feats, labels = self._two_class_data(rng, n=16)
         labels = {i: (7 if v == 0 else 11) for i, v in labels.items()}
         cfg = HeadConfig(structure="2lin", hidden_dim=16)
-        model = train_classifier(feats, labels, cfg, TrainConfig(iterations=150))
+        model = train_classifier(*_training_set(feats, labels), cfg, TrainConfig(iterations=150))
         pred = predict_class(model, feats["a000"])
         assert pred in (7, 11)
 
@@ -334,7 +392,7 @@ class TestCheckpoint:
     def test_regressor_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(300)
         feats, maps = _class_images(rng, np.ones(DIM), 1.0, 8, "x")
-        model = train_regressor(feats, maps, HeadConfig(hidden_dim=8),
+        model = train_regressor(*_training_set(feats, maps), HeadConfig(hidden_dim=8),
                                 TrainConfig(iterations=25, seed=3))
         save_checkpoint(model, tmp_path / "ckpt")
         back = load_checkpoint(tmp_path / "ckpt")
@@ -348,7 +406,7 @@ class TestCheckpoint:
         feats, labels = TestClassifier._two_class_data(rng, n=16)
         labels = {i: v + 5 for i, v in labels.items()}
         cfg = HeadConfig(structure="2lin", hidden_dim=8)
-        model = train_classifier(feats, labels, cfg, TrainConfig(iterations=40))
+        model = train_classifier(*_training_set(feats, labels), cfg, TrainConfig(iterations=40))
         save_checkpoint(model, tmp_path / "ckpt")
         back = load_checkpoint(tmp_path / "ckpt")
         assert back.class_labels == [5, 6]

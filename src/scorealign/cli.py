@@ -27,7 +27,7 @@ from .tensorio import (
     ImageEntry,
     ManifestError,
     TensorFormatError,
-    check_json,
+    check_fields,
     columns,
     csv_row,
     read_csv,
@@ -88,17 +88,12 @@ def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[st
     return out
 
 
-def _load_masks(manifest: DatasetManifest) -> dict[str, np.ndarray]:
-    out = {}
-    for e in manifest.split("test"):
-        if e.mask_path is not None:
-            out[e.image_id] = read_tensor(manifest.resolve(e.mask_path))
-    return out
-
-
 def _top_fraction(text: str):
+    """'max' or a fraction in (0, 1]; anything else is a usage error."""
     if text == "max":
         return "max"
+    if not 0.0 < float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be 'max' or in (0, 1], got {text}")
     return float(text)
 
 
@@ -120,16 +115,9 @@ def _add_flags(p, **defaults) -> None:
 def cmd_gen(args, manifest) -> str:
     if args.config:
         raw = read_json(args.config)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: expected a JSON object of SynthConfig fields")
-        defaults = {f.name: f.default for f in fields(synth.SynthConfig)}
-        unknown = sorted(set(raw) - set(defaults))
-        if unknown:
-            raise ValueError(f"{args.config}: unknown SynthConfig keys {unknown}")
+        check_fields(args.config, raw, synth.SynthConfig, partial=True)
         # the file's keys win over the flags, which fill the other fields
-        for key, value in raw.items():
-            check_json(args.config, key, value, defaults[key])
-            setattr(args, key, value)
+        vars(args).update(raw)
     out_dir = Path(args.out)
     cfg = synth.SynthConfig(**{f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)})
     generated = synth.generate(cfg, out_dir)
@@ -209,34 +197,30 @@ def cmd_train_head(args, manifest) -> str:
             f"-> {out_dir}")
 
 
+# align --mode -> the flags it needs
+_ALIGN_FLAGS = {"oracle": ("stats",), "classifier": ("model", "stats"), "regressor": ("model",)}
+
+
 def cmd_align(args, manifest) -> str:
+    needs = _ALIGN_FLAGS[args.mode]
+    if any(getattr(args, flag) is None for flag in needs):
+        raise UsageError(f"align --mode {args.mode} needs " + " and ".join("--" + f for f in needs))
     maps = _load_maps(manifest, Path(args.maps), args.split)
     entries = manifest.split(args.split)
-
-    if args.mode == "oracle":
-        if args.stats is None:
-            raise UsageError("align --mode oracle needs --stats")
-        if any(e.class_id is None for e in entries):
-            raise ManifestError("align --mode oracle needs class_ids in the manifest")
+    if args.mode == "oracle" and any(e.class_id is None for e in entries):
+        raise ManifestError("align --mode oracle needs class_ids in the manifest")
+    model = heads.load_checkpoint(args.model) if "model" in needs else None
+    if "stats" in needs:
         scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
-        class_ids = {e.image_id: e.class_id for e in entries}
-        scale_of = align_mod.scale_by_class(scales, class_ids.get)
-    elif args.mode == "classifier":
-        if args.model is None or args.stats is None:
-            raise UsageError("align --mode classifier needs --model and --stats")
-        model = heads.load_checkpoint(args.model)
-        scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
-        features = _load_features(manifest, args.split)
-        scale_of = align_mod.scale_by_class(
-            scales, lambda image_id: heads.predict_class(model, features[image_id]))
-    else:  # regressor; argparse admits no other mode
-        if args.model is None:
-            raise UsageError("align --mode regressor needs --model")
-        model = heads.load_checkpoint(args.model)
-        features = _load_features(manifest, args.split)
+    features = _load_features(manifest, args.split) if "model" in needs else {}
 
+    if args.mode == "regressor":
         def scale_of(image_id):
             return heads.predicted_scale(model, features[image_id])
+    else:
+        class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
+                    else lambda image_id: heads.predict_class(model, features[image_id]))
+        scale_of = align_mod.scale_by_class(scales, class_of)
     aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
@@ -248,7 +232,8 @@ def cmd_align(args, manifest) -> str:
 
 def cmd_eval(args, manifest) -> str:
     maps = _load_maps(manifest, Path(args.maps), "test")
-    masks = _load_masks(manifest)
+    masks = {e.image_id: read_tensor(manifest.resolve(e.mask_path))
+             for e in manifest.split("test") if e.mask_path is not None}
     reports = metrics.evaluate(manifest, maps, masks, top_fraction=args.top_fraction)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -260,14 +245,9 @@ def cmd_report(args, manifest) -> str:
     maps = _load_maps(manifest, Path(args.maps), "test")
     combined = [[Path(path).stem, *cells] for path in args.metrics or ()
                 for cells in read_csv(path, columns(metrics.MetricsReport))]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows = [(e.image_id, e.class_id, e.label,
              metrics.image_score(maps[e.image_id], args.top_fraction))
             for e in manifest.split("test")]
-    write_csv(out_dir / "image_scores.csv", ("image_id", "class_id", "label", "image_score"),
-              rows)
 
     # shared bin edges across classes so per-class histograms are comparable
     scores = np.array([r[3] for r in rows])
@@ -280,9 +260,14 @@ def cmd_report(args, manifest) -> str:
             counts, _ = np.histogram(sel, bins=edges)
             hist += [(cid, label, left, right, count)
                      for left, right, count in zip(edges[:-1], edges[1:], counts)]
+
+    # every value is computed before --out is made, so a failed report leaves none
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "image_scores.csv", ("image_id", "class_id", "label", "image_score"),
+              rows)
     write_csv(out_dir / "histograms.csv", ("class_id", "label", "bin_left", "bin_right", "count"),
               hist)
-
     if args.metrics:
         write_csv(out_dir / "metrics_combined.csv", ["source", *columns(metrics.MetricsReport)],
                   combined)

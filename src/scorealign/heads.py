@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import net
 from .align import VARIANTS, meanstd_gamma
-from .tensorio import check_json, read_json, read_tensor, write_json, write_tensor
+from .tensorio import check_fields, columns, read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
 STRUCTURES = {
@@ -328,70 +328,65 @@ def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, floa
     return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
-# the HeadModel arrays head.json stores as lists of floats, and the fields it stores as they are
+# the HeadModel arrays head.json stores as lists of floats
 _NORM_ARRAYS = ("target_offset", "target_scale", "input_offset", "input_scale")
-_PLAIN_FIELDS = ("in_channels", "seed", "loss_trace", "holdout_accuracy", "class_labels")
+
+
+@dataclass
+class CheckpointHeader:
+    """head.json's keys in file order, each with the type of its JSON value
+    (tensorio.check_fields). Every key must be present; a HeadModel field of
+    the same name is read back from it."""
+
+    config: HeadConfig
+    in_channels: int
+    seed: int
+    target_offset: list[float]
+    target_scale: list[float]
+    input_offset: list[float]
+    input_scale: list[float]
+    n_params: int
+    param_shapes: list[list[int]]
+    loss_trace: list[float]
+    holdout_accuracy: Optional[float]
+    class_labels: Optional[list[int]]
 
 
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
-    """Write head.json (config, seed, target normalization, layer dims) plus
-    one ADT1 tensor file per parameter."""
+    """Write head.json (a CheckpointHeader) plus one ADT1 tensor file per parameter."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     params = model.network.parameters()
-    header = {
-        "config": asdict(model.config),
-        "in_channels": model.in_channels,
-        "seed": model.seed,
-        **{name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS},
-        "n_params": len(params),
-        "param_shapes": [list(p.value.shape) for p in params],
-        "loss_trace": model.loss_trace,
-        "holdout_accuracy": model.holdout_accuracy,
-        "class_labels": model.class_labels,
-    }
-    write_json(ckpt_dir / "head.json", header)
+    values = {"config": asdict(model.config), "n_params": len(params),
+              "param_shapes": [list(p.value.shape) for p in params],
+              **{name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS}}
+    write_json(ckpt_dir / "head.json", {key: values[key] if key in values else getattr(model, key)
+                                        for key in columns(CheckpointHeader)})
     for i, p in enumerate(params):
         write_tensor(ckpt_dir / f"param_{i:03d}.adt", p.value)
 
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
-    """The HeadModel save_checkpoint wrote. A head.json value of the wrong JSON
-    type or length is a ValueError naming the file and the key."""
+    """The HeadModel save_checkpoint wrote. A head.json that is no
+    CheckpointHeader, or whose sizes do not fit the head its config builds, is
+    a ValueError naming the file and the key."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "head.json"
     header = read_json(path)
-    config = header.get("config") if isinstance(header, dict) else None
-    keys = set(config) if isinstance(config, dict) else set()
-    names = {f.name for f in fields(HeadConfig)}
-    if keys != names:
-        raise ValueError(f"{path}: config has unknown keys "
-                         f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
-    for f in fields(HeadConfig):
-        check_json(f"{path}: config", f.name, config[f.name], f.default)
-    for key in ("in_channels", "seed", "n_params"):
-        check_json(path, key, header.get(key), 0)
-    in_channels = header["in_channels"]
+    check_fields(path, header, CheckpointHeader)
+    in_channels, class_labels = header["in_channels"], header["class_labels"]
     if in_channels < 1:
         raise ValueError(f"{path}: in_channels must be >= 1, got {in_channels}")
-    class_labels = header.get("class_labels")
-    if class_labels is not None and not (isinstance(class_labels, list) and len(class_labels) > 1
-                                         and all(type(c) is int for c in class_labels)):
+    if class_labels is not None and len(class_labels) < 2:
         raise ValueError(f"{path}: class_labels must be null or a list of at least 2 integers, "
                          f"got {json.dumps(class_labels)}")
-    loss_trace = header.get("loss_trace")
-    if not isinstance(loss_trace, list):
-        raise ValueError(f"{path}: loss_trace must be a list of numbers, "
-                         f"got {json.dumps(loss_trace)}")
-    for i, loss in enumerate(loss_trace):
-        check_json(path, f"loss_trace[{i}]", loss, 0.0)
-    if header.get("holdout_accuracy") is not None:
-        check_json(path, "holdout_accuracy", header["holdout_accuracy"], 0.0)
     out_dim = 2 if class_labels is None else len(class_labels)
     for name in _NORM_ARRAYS:
         width = in_channels if name.startswith("input") else out_dim
-        check_json(path, name, header.get(name), (0.0,) * width)
-    cfg = HeadConfig(**config)
+        if len(header[name]) != width:
+            raise ValueError(f"{path}: {name} must be a list of {width} numbers, "
+                             f"got {json.dumps(header[name])}")
+    cfg = HeadConfig(**header["config"])
     rng = np.random.default_rng(0)  # params are overwritten below
     network = build_head(cfg, in_channels, out_dim, rng)
     params = network.parameters()
@@ -402,6 +397,6 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         if value.shape != p.value.shape:
             raise ValueError(f"{path}: param {i} has shape {value.shape}, not {p.value.shape}")
         p.value[...] = value
-    return HeadModel(config=cfg, network=network,
-                     **{name: np.array(header[name]) for name in _NORM_ARRAYS},
-                     **{name: header.get(name) for name in _PLAIN_FIELDS})
+    kept = {key: header[key] for key in columns(HeadModel) if key in header}
+    return HeadModel(**{**kept, "config": cfg, "network": network,
+                        **{name: np.array(header[name]) for name in _NORM_ARRAYS}})

@@ -7,8 +7,11 @@ identical inputs (tensors are little-endian throughout).
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -64,6 +67,8 @@ def read_tensor(path) -> np.ndarray:
     code, ndim = raw[4], raw[5]
     if code not in _DTYPE_BY_CODE:
         raise TensorFormatError(f"{path}: unknown dtype code {code}")
+    if ndim == 0:
+        raise TensorFormatError(f"{path}: ndim must be in [1, 255], got 0")
     dims_end = 6 + 4 * ndim
     if len(raw) < dims_end:
         raise TensorFormatError(f"{path}: truncated dims")
@@ -71,7 +76,7 @@ def read_tensor(path) -> np.ndarray:
     if any(d == 0 for d in shape):
         raise TensorFormatError(f"{path}: zero dim in shape {shape}")
     dtype = _DTYPE_BY_CODE[code]
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     expected = dims_end + count * dtype.itemsize
     if len(raw) != expected:
         raise TensorFormatError(
@@ -146,21 +151,9 @@ def read_manifest(path) -> DatasetManifest:
     doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("images"), list):
         raise ManifestError(f"{path}: expected an object with an 'images' list")
-    images = []
-    entry_fields = fields(ImageEntry)
     for i, rec in enumerate(doc["images"]):
-        if not isinstance(rec, dict):
-            raise ManifestError(f"{path}: images[{i}] is not an object")
-        unknown = set(rec) - {f.name for f in entry_fields}
-        if unknown:
-            raise ManifestError(f"{path}: unknown manifest fields {sorted(unknown)}")
-        # class_id is an integer, every other field a string; an optional field may be null
-        for f in entry_fields:
-            if rec.get(f.name) is not None or f.default is not None:
-                check_json(f"{path}: images[{i}]", f.name, rec.get(f.name),
-                           0 if f.name == "class_id" else "", ManifestError)
-        images.append(ImageEntry(**rec))
-    manifest = DatasetManifest(images=images, root=path.parent)
+        check_fields(f"{path}: images[{i}]", rec, ImageEntry, ManifestError)
+    manifest = DatasetManifest([ImageEntry(**rec) for rec in doc["images"]], path.parent)
     manifest.validate(path)
     return manifest
 
@@ -180,23 +173,54 @@ def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-# the type of a config field's default -> the name and the types of the JSON values it takes
-_JSON_KINDS = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float))}
+# a field's type -> the name and the types of the JSON values it takes
+_JSON_KINDS = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float)),
+               list: ("a list", list)}
 
 
-def _json_matches(value, default) -> bool:
-    if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(map(_json_matches, value, default)))
-    return isinstance(value, _JSON_KINDS[type(default)][1]) and not isinstance(value, bool)
+def check_json(where: str, key: str, value, kind, error=ValueError) -> None:
+    """Raise `error` naming `where` and `key` unless the JSON value is of the field
+    type `kind`: str, int, float (an integer or not), list[k] of any length (a bad
+    entry is named key[i]), or a dataclass (an object of its fields, check_fields)."""
+    origin = typing.get_origin(kind) or kind  # list[k] -> list
+    if origin not in _JSON_KINDS:  # a dataclass
+        return check_fields(f"{where}: {key}", value, kind, error)
+    name, types = _JSON_KINDS[origin]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise error(f"{where}: {key} must be {name}, got {json.dumps(value)}")
+    for i, entry in enumerate(value if types is list else ()):
+        check_json(where, f"{key}[{i}]", entry, typing.get_args(kind)[0], error)
 
 
-def check_json(where: str, key: str, value, default, error=ValueError) -> None:
-    """Raise `error` naming `where` and `key` unless the JSON value suits the field default."""
-    if not _json_matches(value, default):
-        kind = (f"a list of {len(default)} {'integers' if type(default[0]) is int else 'numbers'}"
-                if isinstance(default, tuple) else _JSON_KINDS[type(default)][0])
-        raise error(f"{where}: {key} must be {kind}, got {json.dumps(value)}")
+@functools.cache
+def _json_fields(record_type) -> dict:
+    """name -> (type, may be null, may be absent) of each field of the dataclass
+    record_type: an Optional[k] field is of type k and may be null, and one whose
+    default is None may be absent. Cached, as every manifest record needs it."""
+    out = {}
+    for f in fields(record_type):
+        kind = typing.get_type_hints(record_type)[f.name]
+        nullable = typing.get_origin(kind) is typing.Union
+        out[f.name] = (typing.get_args(kind)[0] if nullable else kind, nullable, f.default is None)
+    return out
+
+
+def check_fields(where: str, doc, record_type, error=ValueError, partial=False) -> None:
+    """Raise `error` naming `where` unless the JSON value doc is an object of the
+    dataclass record_type's fields, each of the type its annotation names
+    (check_json). An Optional field may be null. A field may be absent if its
+    default is None, and any field if partial."""
+    name, types = record_type.__name__, _json_fields(record_type)
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object of {name} fields")
+    unknown = sorted(doc.keys() - types.keys())
+    if unknown:
+        raise error(f"{where}: unknown {name} keys {unknown}")
+    for key, (kind, nullable, absent_ok) in types.items():
+        if key not in doc and not (partial or absent_ok):
+            raise error(f"{where}: {key} is missing")
+        if key in doc and not (nullable and doc[key] is None):
+            check_json(where, key, doc[key], kind, error)
 
 
 def columns(record_type) -> list[str]:

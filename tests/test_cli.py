@@ -55,6 +55,12 @@ def pipeline(tmp_path_factory):
     return root
 
 
+# the keys save_checkpoint writes to head.json, in file order
+HEAD_JSON_KEYS = ["config", "in_channels", "seed", "target_offset", "target_scale", "input_offset",
+                  "input_scale", "n_params", "param_shapes", "loss_trace", "holdout_accuracy",
+                  "class_labels"]
+
+
 def _manifest_copy(pipeline, data, edit=None):
     """Write pipeline's manifest into the directory `data` with absolute file
     paths, after edit(doc) if given; return the path of the copy."""
@@ -304,6 +310,36 @@ class TestExitCodes:
         assert "usage error" in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode,needs", [
+        ("oracle", "--stats"), ("classifier", "--model and --stats"), ("regressor", "--model"),
+    ])
+    def test_align_usage_error_comes_before_any_map_is_read(
+            self, pipeline, tmp_path, capsys, mode, needs):
+        out = tmp_path / "aligned"
+        assert main(["align", "--data", str(pipeline / "data"), "--maps", str(tmp_path / "none"),
+                     "--out", str(out), "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"usage error: align --mode {mode} needs {needs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["report", "--top-fraction", "0"], 1,
+         "usage error: argument --top-fraction: must be 'max' or in (0, 1], got 0\n"),
+        (["report", "--top-fraction", "nan"], 1,
+         "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
+        (["report", "--top-fraction", "1.5"], 1,
+         "usage error: argument --top-fraction: must be 'max' or in (0, 1], got 1.5\n"),
+        (["report", "--bins", "0"], 2, "error: `bins` must be positive"),
+        (["eval", "--top-fraction", "nan"], 1,
+         "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
+    ], ids=["report-top-0", "report-top-nan", "report-top-1.5", "report-bins-0", "eval-top-nan"])
+    def test_bad_image_score_setting_leaves_no_out(
+            self, pipeline, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                            "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_train_regressor_without_maps_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "reg"
         assert main(["train-head", "--data", str(pipeline / "data"), "--mode", "regressor",
@@ -425,33 +461,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit,named", [
         (lambda header: {**header, "in_channels": "4"},
          'head.json: in_channels must be an integer, got "4"'),
-        (lambda header: [header], "head.json: config has unknown keys []"),
+        (lambda header: [header], "head.json: expected a JSON object of CheckpointHeader fields"),
         (lambda header: {**header, "target_offset": ["a", "b"]},
-         'head.json: target_offset must be a list of 2 numbers, got ["a", "b"]'),
+         'head.json: target_offset[0] must be a number, got "a"'),
         # one offset would broadcast over all 4 channels
         (lambda header: {**header, "input_offset": [0.0]},
          "head.json: input_offset must be a list of 4 numbers, got [0.0]"),
         (lambda header: {**header, "in_channels": 0}, "head.json: in_channels must be >= 1, got 0"),
-        (lambda header: {**header, "class_labels": 5},
-         "head.json: class_labels must be null or a list of at least 2 integers, got 5"),
+        (lambda header: {**header, "class_labels": 5}, "head.json: class_labels must be a list, got 5"),
+        (lambda header: {**header, "class_labels": [3]},
+         "head.json: class_labels must be null or a list of at least 2 integers, got [3]"),
         (lambda header: {k: v for k, v in header.items() if k != "n_params"},
-         "head.json: n_params must be an integer, got null"),
+         "head.json: n_params is missing"),
         (lambda header: {k: v for k, v in header.items() if k != "seed"},
-         "head.json: seed must be an integer, got null"),
+         "head.json: seed is missing"),
         # a 2lin head has two weights and two biases
         (lambda header: {**header, "n_params": 5}, "head.json: n_params is 5, its config has 4"),
         (lambda header: {**header, "config": {**header["config"], "hidden_dim": 8}},
          "head.json: param 0 has shape (16, 4), not (8, 4)"),
-        (lambda header: {**header, "loss_trace": 5},
-         "head.json: loss_trace must be a list of numbers, got 5"),
+        (lambda header: {**header, "loss_trace": 5}, "head.json: loss_trace must be a list, got 5"),
         (lambda header: {**header, "loss_trace": [0.5, "x"]},
          'head.json: loss_trace[1] must be a number, got "x"'),
         (lambda header: {**header, "holdout_accuracy": "high"},
          'head.json: holdout_accuracy must be a number, got "high"'),
     ], ids=["in-channels-str", "json-list", "target-offset-str", "input-offset-short",
-            "in-channels-0", "class-labels-int", "n-params-missing", "seed-missing",
-            "n-params-off", "param-shape", "loss-trace-int", "loss-trace-str-entry",
-            "holdout-str"])
+            "in-channels-0", "class-labels-int", "class-labels-one", "n-params-missing",
+            "seed-missing", "n-params-off", "param-shape", "loss-trace-int",
+            "loss-trace-str-entry", "holdout-str"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -464,12 +500,35 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "aligned").exists()
 
+    @pytest.mark.parametrize("ckpt", ["reg", "clf"])
+    def test_head_json_keys_in_file_order(self, pipeline, ckpt):
+        assert list(json.loads((pipeline / ckpt / "head.json").read_text())) == HEAD_JSON_KEYS
+
+    @pytest.mark.parametrize("key", HEAD_JSON_KEYS)
+    @pytest.mark.parametrize("ckpt,flags", [
+        ("reg", ["--mode", "regressor"]),
+        ("clf", ["--mode", "classifier", "--stats", "{root}/stats.csv"]),
+    ], ids=["regressor", "classifier"])
+    def test_align_without_a_head_json_key_is_data_error(
+            self, pipeline, tmp_path, capsys, ckpt, flags, key):
+        model = tmp_path / ckpt
+        shutil.copytree(pipeline / ckpt, model)
+        header = json.loads((model / "head.json").read_text())
+        del header[key]
+        (model / "head.json").write_text(json.dumps(header))
+        out = tmp_path / "aligned"
+        assert main(["align", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--out", str(out), "--model", str(model)]
+                    + [a.format(root=pipeline) for a in flags]) == 2
+        assert capsys.readouterr().err == f"error: {model / 'head.json'}: {key} is missing\n"
+        assert not out.exists()
+
     # the fixture manifest lists class 0's 12 train images first, then its test images
     @pytest.mark.parametrize("edit,argv,named", [
         (lambda doc: operator.setitem(doc, "images", 5), ["fit-base"],
          "expected an object with an 'images' list"),
         (lambda doc: operator.setitem(doc["images"], 0, "c00_train_0000"), ["fit-base"],
-         "images[0] is not an object"),
+         "images[0]: expected a JSON object of ImageEntry fields"),
         (lambda doc: operator.setitem(doc["images"][0], "feature_path", 7), ["fit-base"],
          "images[0]: feature_path must be a string, got 7"),
         (lambda doc: operator.setitem(doc["images"][0], "class_id", "0"),
@@ -483,7 +542,7 @@ class TestExitCodes:
         (lambda doc: operator.setitem(doc["images"][12], "class_id", "x"),
          ["eval", "--maps", "{root}/maps"], 'images[12]: class_id must be an integer, got "x"'),
         (lambda doc: doc["images"][12].pop("split"),
-         ["eval", "--maps", "{root}/maps"], "images[12]: split must be a string, got null"),
+         ["eval", "--maps", "{root}/maps"], "images[12]: split is missing"),
         (lambda doc: operator.setitem(doc["images"][0], "split", "val"),
          ["stats", "--maps", "{root}/maps"], "c00_train_0000: invalid split 'val'"),
         (lambda doc: operator.setitem(doc["images"][12], "label", "odd"),

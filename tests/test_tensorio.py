@@ -1,4 +1,5 @@
 import ast
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +92,19 @@ class TestTensorReadErrors:
         (lambda raw: raw[:5], "truncated header"),
         (lambda raw: raw[:8], "truncated dims"),
         (lambda raw: raw[:6] + bytes(4) + raw[10:], r"zero dim in shape \(0,\)"),
-    ], ids=["header", "dims", "zero-dim"])
+        # one float64 behind a 0-d header: write_tensor refuses that shape
+        (lambda raw: raw[:5] + bytes([0]) + raw[10:18], r"ndim must be in \[1, 255\], got 0$"),
+        # 65536**4 elements wrap around to 0 in int64, which an empty payload would match
+        (lambda raw: raw[:5] + bytes([4]) + struct.pack("<4I", *[65536] * 4),
+         r"payload length 0 does not match shape \(65536, 65536, 65536, 65536\)"),
+    ], ids=["header", "dims", "zero-dim", "ndim-0", "count-overflow"])
     def test_malformed_header(self, tmp_path, edit, match):
         path = tmp_path / "t.adt"
         write_tensor(path, np.ones(4))
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(TensorFormatError, match=match):
+        with pytest.raises(TensorFormatError, match=match) as exc:
             read_tensor(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_shape_payload_mismatch(self, tmp_path):
         # header claims 3 elements, payload holds 2
@@ -189,7 +196,8 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text('{"images": [{"image_id": "a", "split": "train", '
                         '"label": "normal", "score_path": "a.adt"}]}')
-        with pytest.raises(ManifestError, match="unknown manifest fields.*score_path"):
+        with pytest.raises(ManifestError,
+                           match=r"m\.json: images\[0\]: unknown ImageEntry keys \['score_path'\]$"):
             read_manifest(path)
 
     def test_unknown_field_rejected(self, tmp_path):

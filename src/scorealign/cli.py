@@ -97,11 +97,17 @@ def _top_fraction(text: str):
     return float(text)
 
 
+def _bin_count(text: str) -> int:
+    """An integer >= 1; anything else is a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 # HeadConfig field -> the train-head flag (dest) that sets it, where the names differ
 _HEAD_FLAGS = {"dropout_rate": "dropout"}
 # flag dest (a config field name) -> the names the flag accepts
-_CHOICES = {"structure": sorted(heads.STRUCTURES), "activation": tuple(heads.ACTIVATIONS),
-            "target": align_mod.VARIANTS}
+_CHOICES = {"structure": sorted(heads.STRUCTURES), "target": align_mod.VARIANTS}
 
 
 def _add_flags(p, **defaults) -> None:
@@ -283,13 +289,13 @@ def cmd_grad_check(args, manifest) -> str:
     worst = 0.0
     for name in heads.STRUCTURES:
         cfg = heads.HeadConfig(structure=name, hidden_dim=args.hidden_dim,
-                               dropout_rate=args.dropout, activation=args.activation)
+                               dropout_rate=args.dropout)
         network = heads.build_head(cfg, in_channels, 2, rng)
         x = rng.normal(size=(1, in_channels, h, w))
         target = rng.normal(size=(1, 2))
 
         def loss_fn(out, target=target):
-            loss, grad = net.smooth_l1(out, target, cfg.alpha)
+            loss, grad = net.smooth_l1(out, target, heads.ALPHA)
             return float(loss.sum()), grad
 
         err = net.grad_check(network, x, loss_fn, seed=args.seed)
@@ -391,12 +397,12 @@ def build_parser() -> _Parser:
                     "data", "maps", "out")
     p.add_argument("--metrics", nargs="*", help="metrics CSVs to combine")
     p.add_argument("--top-fraction", type=_top_fraction, default=0.01)
-    p.add_argument("--bins", type=int, default=32)
+    p.add_argument("--bins", type=_bin_count, default=32)
 
     p = _subcommand(sub, "grad-check", cmd_grad_check,
                     "finite-difference check of every head structure")
     _add_flags(p, channels=6, grid=6, hidden_dim=16, dropout=head.dropout_rate,
-               activation=head.activation, tolerance=1e-4, seed=0)
+               tolerance=1e-4, seed=0)
 
     p = _subcommand(sub, "ablate", cmd_ablate, "sweep structure x dropout x aggregation",
                     "data", "maps", "out")

@@ -6,14 +6,15 @@ predicts a class id that selects fitted per-class statistics instead.
 Either way the anomaly map is then mean-max normalized with the chosen
 statistics.
 
+Every head trains with one recipe: GELU activations, SGD at LR with
+MOMENTUM and WEIGHT_DECAY, and (regressor) smooth-L1 at threshold ALPHA.
 Regression targets are each image's own (mean, max) or (mean, std) pixel
-scores; targets are z-normalized per training run so the smooth-L1
-threshold alpha is independent of the base scorer's scale. Input features
-are standardized per channel over the training set for the same reason
-(the fixed learning rate must not depend on the feature scale), once, in
-place, on the float64 [N, C, H, W] stack training gathers its batches from;
-prediction applies the same elementwise formula to its one image. Both
-sets of constants travel with the checkpoint.
+scores; targets are z-normalized per training run so ALPHA is independent
+of the base scorer's scale. Input features are standardized per channel
+over the training set for the same reason (LR must not depend on the
+feature scale), once, in place, on the float64 [N, C, H, W] stack training
+gathers its batches from; prediction applies the same elementwise formula
+to its one image. Both sets of constants travel with the checkpoint.
 """
 
 from __future__ import annotations
@@ -40,18 +41,12 @@ STRUCTURES = {
 }
 
 
-# HeadConfig.activation name -> layer class
-ACTIVATIONS = {"gelu": net.GELU, "relu": net.ReLU}
-
-
 @dataclass
 class HeadConfig:
     structure: str = "1conv+2lin"    # a STRUCTURES name
     hidden_dim: int = 256
     dropout_rate: float = 0.25
-    activation: str = "gelu"         # an ACTIVATIONS name
     target: str = "meanmax"          # a VARIANTS name (regressor only)
-    alpha: float = 0.1               # smooth-L1 threshold, normalized target space
 
     def validate(self):
         if self.structure not in STRUCTURES:
@@ -59,19 +54,12 @@ class HeadConfig:
                              f"expected one of {sorted(STRUCTURES)}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.target not in VARIANTS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
 
 
 @dataclass
 class TrainConfig:
-    lr: float = 5e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     batch_size: int = 16
     iterations: int = 5000
     seed: int = 0
@@ -83,7 +71,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-# global gradient-norm clip; the fixed lr/momentum overshoots on
+LR, MOMENTUM, WEIGHT_DECAY = 5e-2, 0.9, 1e-4  # the SGD of every head training
+ALPHA = 0.1  # the regressor's smooth-L1 threshold, in normalized target space
+# global gradient-norm clip; the fixed LR/MOMENTUM overshoots on
 # low-dimensional inputs without it
 GRAD_CLIP = 1.0
 # fraction of final iterations whose parameters are averaged into the
@@ -104,7 +94,7 @@ def _clip_gradients(params) -> None:
 
 def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Network:
     """Assemble the layer stack of the cfg.structure: its 3x3 convs
-    (channel-preserving, each followed by the activation), global average
+    (channel-preserving, each followed by GELU), global average
     pooling, then its linears with dropout before every linear; the last
     linear has out_dim outputs (2 for a regressor, one per class for a
     classifier).
@@ -116,11 +106,10 @@ def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Netw
     """
     cfg.validate()
     n_conv, n_linear = STRUCTURES[cfg.structure]
-    act = ACTIVATIONS[cfg.activation]
     layers: list[net.Layer] = []
     for _ in range(n_conv):
         layers.append(net.Conv3x3(in_channels, in_channels, rng))
-        layers.append(act())
+        layers.append(net.GELU())
     layers.append(net.Dropout(cfg.dropout_rate))
     layers.append(net.GlobalAvgPool())
     dim = in_channels
@@ -131,7 +120,7 @@ def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Netw
             layers.append(net.Dropout(cfg.dropout_rate))
         layers.append(net.Linear(dim, out, rng))
         if not last:
-            layers.append(act())
+            layers.append(net.GELU())
         dim = out
     return net.Network(layers)
 
@@ -189,7 +178,7 @@ def _fit(
     in_offset, in_scale = standardize(x, rows) if norm is None else norm
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
     network = build_head(head_cfg, x.shape[1], out_dim, rng)
-    optim = net.SGD(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay)
+    optim = net.SGD(LR, MOMENTUM, WEIGHT_DECAY)
 
     model = HeadModel(config=head_cfg, in_channels=x.shape[1], network=network,
                       seed=train_cfg.seed, input_offset=in_offset, input_scale=in_scale,
@@ -247,7 +236,7 @@ def train_regressor(
     targets_n = (targets - t_offset) / t_scale
 
     def batch_loss(out, idx):
-        loss_elems, grad = net.smooth_l1(out, targets_n[idx], head_cfg.alpha)
+        loss_elems, grad = net.smooth_l1(out, targets_n[idx], ALPHA)
         return float(loss_elems.sum(axis=1).mean()), grad
 
     return _fit(x, np.arange(len(x)), norm, head_cfg, train_cfg, 2, batch_loss,
@@ -345,8 +334,6 @@ class CheckpointHeader:
     target_scale: list[float]
     input_offset: list[float]
     input_scale: list[float]
-    n_params: int
-    param_shapes: list[list[int]]
     loss_trace: list[float]
     holdout_accuracy: Optional[float]
     class_labels: Optional[list[int]]
@@ -356,13 +343,11 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
     """Write head.json (a CheckpointHeader) plus one ADT1 tensor file per parameter."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    params = model.network.parameters()
-    values = {"config": asdict(model.config), "n_params": len(params),
-              "param_shapes": [list(p.value.shape) for p in params],
+    values = {"config": asdict(model.config),
               **{name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS}}
     write_json(ckpt_dir / "head.json", {key: values[key] if key in values else getattr(model, key)
                                         for key in columns(CheckpointHeader)})
-    for i, p in enumerate(params):
+    for i, p in enumerate(model.network.parameters()):
         write_tensor(ckpt_dir / f"param_{i:03d}.adt", p.value)
 
 
@@ -389,10 +374,7 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
     cfg = HeadConfig(**header["config"])
     rng = np.random.default_rng(0)  # params are overwritten below
     network = build_head(cfg, in_channels, out_dim, rng)
-    params = network.parameters()
-    if len(params) != header["n_params"]:
-        raise ValueError(f"{path}: n_params is {header['n_params']}, its config has {len(params)}")
-    for i, p in enumerate(params):
+    for i, p in enumerate(network.parameters()):
         value = read_tensor(ckpt_dir / f"param_{i:03d}.adt")
         if value.shape != p.value.shape:
             raise ValueError(f"{path}: param {i} has shape {value.shape}, not {p.value.shape}")

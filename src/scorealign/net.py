@@ -152,15 +152,6 @@ class GELU(Layer):
         return grad_out * (self._cdf + self._x * pdf)
 
 
-class ReLU(Layer):
-    def forward(self, x, mode="eval", rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out):
-        return grad_out * self._mask
-
-
 class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval."""
 

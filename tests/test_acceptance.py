@@ -131,7 +131,7 @@ def test_criterion_02_gradient_fidelity():
         target = rng.normal(size=(1, 2))
 
         def loss_fn(out, target=target):
-            loss, grad = smooth_l1(out, target, cfg.alpha)
+            loss, grad = smooth_l1(out, target, heads.ALPHA)
             return float(loss.sum()), grad
 
         err = net.grad_check(network, x, loss_fn, seed=0)

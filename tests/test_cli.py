@@ -16,7 +16,6 @@ from scorealign import cli, synth
 from scorealign.align import VARIANTS, normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
-    ACTIVATIONS,
     STRUCTURES,
     HeadConfig,
     TrainConfig,
@@ -57,8 +56,7 @@ def pipeline(tmp_path_factory):
 
 # the keys save_checkpoint writes to head.json, in file order
 HEAD_JSON_KEYS = ["config", "in_channels", "seed", "target_offset", "target_scale", "input_offset",
-                  "input_scale", "n_params", "param_shapes", "loss_trace", "holdout_accuracy",
-                  "class_labels"]
+                  "input_scale", "loss_trace", "holdout_accuracy", "class_labels"]
 
 
 def _manifest_copy(pipeline, data, edit=None):
@@ -328,10 +326,13 @@ class TestExitCodes:
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
         (["report", "--top-fraction", "1.5"], 1,
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got 1.5\n"),
-        (["report", "--bins", "0"], 2, "error: `bins` must be positive"),
+        (["report", "--bins", "0"], 1, "usage error: argument --bins: must be >= 1, got 0\n"),
         (["eval", "--top-fraction", "nan"], 1,
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
-    ], ids=["report-top-0", "report-top-nan", "report-top-1.5", "report-bins-0", "eval-top-nan"])
+        # the SGD settings are constants, not flags
+        (["train-head", "--lr", "0.1"], 1, "usage error: unrecognized arguments: --lr 0.1\n"),
+    ], ids=["report-top-0", "report-top-nan", "report-top-1.5", "report-bins-0", "eval-top-nan",
+            "train-head-lr"])
     def test_bad_image_score_setting_leaves_no_out(
             self, pipeline, tmp_path, capsys, argv, code, message):
         out = tmp_path / "out"
@@ -433,16 +434,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("add,drop,named", [
         ({"bogus": 1}, (), "bogus"),
-        ({}, ("alpha",), "alpha"),
+        ({}, ("target",), "head.json: config: target is missing"),
         # the config of a checkpoint from before the structure name replaced
         # mode, n_conv, n_linear and out_dim
         ({"mode": "regressor", "n_conv": 0, "n_linear": 2, "out_dim": 2},
          ("structure",), "n_conv"),
         ({"hidden_dim": "16"}, (), 'head.json: config: hidden_dim must be an integer, got "16"'),
-        ({"alpha": "0.1"}, (), 'head.json: config: alpha must be a number, got "0.1"'),
+        ({"target": 1}, (), "head.json: config: target must be a string, got 1"),
         ({"dropout_rate": None}, (), "head.json: config: dropout_rate must be a number, got null"),
-    ], ids=["unknown-key", "missing-key", "nine-field-config", "hidden-dim-str", "alpha-str",
-            "dropout-null"])
+        # the config of a checkpoint from before activation and alpha became fixed
+        ({"activation": "gelu", "alpha": 0.1}, (),
+         "head.json: config: unknown HeadConfig keys ['activation', 'alpha']"),
+    ], ids=["unknown-key", "missing-key", "nine-field-config", "hidden-dim-str", "target-int",
+            "dropout-null", "parent-config"])
     def test_align_with_bad_checkpoint_config_is_data_error(
             self, pipeline, tmp_path, capsys, add, drop, named):
         ckpt = tmp_path / "reg"
@@ -471,12 +475,8 @@ class TestExitCodes:
         (lambda header: {**header, "class_labels": 5}, "head.json: class_labels must be a list, got 5"),
         (lambda header: {**header, "class_labels": [3]},
          "head.json: class_labels must be null or a list of at least 2 integers, got [3]"),
-        (lambda header: {k: v for k, v in header.items() if k != "n_params"},
-         "head.json: n_params is missing"),
         (lambda header: {k: v for k, v in header.items() if k != "seed"},
          "head.json: seed is missing"),
-        # a 2lin head has two weights and two biases
-        (lambda header: {**header, "n_params": 5}, "head.json: n_params is 5, its config has 4"),
         (lambda header: {**header, "config": {**header["config"], "hidden_dim": 8}},
          "head.json: param 0 has shape (16, 4), not (8, 4)"),
         (lambda header: {**header, "loss_trace": 5}, "head.json: loss_trace must be a list, got 5"),
@@ -484,10 +484,14 @@ class TestExitCodes:
          'head.json: loss_trace[1] must be a number, got "x"'),
         (lambda header: {**header, "holdout_accuracy": "high"},
          'head.json: holdout_accuracy must be a number, got "high"'),
+        # the derived keys a checkpoint written before they were dropped carries
+        (lambda header: {**header, "n_params": 4,
+                         "param_shapes": [[16, 4], [16], [2, 16], [2]]},
+         "head.json: unknown CheckpointHeader keys ['n_params', 'param_shapes']"),
     ], ids=["in-channels-str", "json-list", "target-offset-str", "input-offset-short",
-            "in-channels-0", "class-labels-int", "class-labels-one", "n-params-missing",
-            "seed-missing", "n-params-off", "param-shape", "loss-trace-int",
-            "loss-trace-str-entry", "holdout-str"])
+            "in-channels-0", "class-labels-int", "class-labels-one",
+            "seed-missing", "param-shape", "loss-trace-int",
+            "loss-trace-str-entry", "holdout-str", "old-param-keys"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -498,6 +502,18 @@ class TestExitCodes:
                      "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "aligned"),
                      "--mode", "regressor", "--model", str(ckpt)]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
+    def test_align_with_missing_param_file_is_data_error(self, pipeline, tmp_path, capsys):
+        """The head the config builds fixes the parameter count: a 2lin head
+        reads param_000 to param_003, and a missing one is named."""
+        ckpt = tmp_path / "reg"
+        shutil.copytree(pipeline / "reg", ckpt)
+        (ckpt / "param_003.adt").unlink()
+        assert main(["align", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "aligned"),
+                     "--mode", "regressor", "--model", str(ckpt)]) == 2
+        assert str(ckpt / "param_003.adt") in capsys.readouterr().err
         assert not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("ckpt", ["reg", "clf"])
@@ -723,7 +739,6 @@ class TestFlagDefaults:
 
     def test_choice_flags_offer_each_name_set(self):
         assert _action("train-head", "structure").choices == sorted(STRUCTURES)
-        assert _action("train-head", "activation").choices == tuple(ACTIVATIONS)
         assert _action("train-head", "target").choices == VARIANTS
         assert _action("align", "variant").choices == VARIANTS
 
@@ -733,8 +748,7 @@ class TestFlagDefaults:
 
     def test_grad_check_defaults_are_the_config_defaults(self):
         parsed = build_parser().parse_args(["grad-check"])
-        assert (parsed.dropout, parsed.activation) == (HeadConfig.dropout_rate,
-                                                       HeadConfig.activation)
+        assert parsed.dropout == HeadConfig.dropout_rate
         assert type(parsed.dropout) is float
 
     def test_ablate_defaults_are_the_config_defaults(self):

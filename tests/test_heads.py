@@ -158,21 +158,11 @@ class TestBuildHead:
         types = [type(l) for l in network.layers]
         assert types.index(net.Dropout) < types.index(net.GlobalAvgPool)
 
-    def test_relu_variant(self):
-        cfg = HeadConfig(activation="relu")
-        network = build_head(cfg, DIM, 2, np.random.default_rng(0))
-        assert any(isinstance(l, net.ReLU) for l in network.layers)
-        assert not any(isinstance(l, net.GELU) for l in network.layers)
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="structure"):
             HeadConfig(structure="3conv+2lin").validate()
         with pytest.raises(ValueError):
-            HeadConfig(activation="tanh").validate()
-        with pytest.raises(ValueError):
             HeadConfig(target="median").validate()
-        with pytest.raises(ValueError):
-            HeadConfig(alpha=0.0).validate()
         for hidden_dim in (0, -1):
             with pytest.raises(ValueError, match="hidden_dim"):
                 HeadConfig(structure="2lin", hidden_dim=hidden_dim).validate()

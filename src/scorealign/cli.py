@@ -64,16 +64,17 @@ def _load_features(manifest: DatasetManifest, split: str) -> dict[str, np.ndarra
 
 
 def _read_train_stack(manifest: DatasetManifest) -> tuple[list[ImageEntry], np.ndarray]:
-    """The train entries in id order and their features, read into one float64 stack."""
+    """The train entries in id order and their features, in one stack of the files' dtype."""
     entries = sorted(manifest.split("train"), key=lambda e: e.image_id)
     if not entries:
         raise ManifestError("empty training set")
     for row, e in enumerate(entries):
         f = read_tensor(_feature_path(manifest, e))
         if row == 0:
-            x = np.empty((len(entries), *f.shape))
-        if f.shape != x.shape[1:]:
-            raise TensorFormatError(f"{e.image_id}: features {f.shape}, not {x.shape[1:]}")
+            x = np.empty((len(entries), *f.shape), dtype=f.dtype)
+        if f.shape != x.shape[1:] or f.dtype != x.dtype:
+            raise TensorFormatError(f"{e.image_id}: features {f.dtype} {f.shape}, "
+                                    f"not {x.dtype} {x.shape[1:]}")
         x[row] = f
     return entries, x
 
@@ -92,16 +93,22 @@ def _top_fraction(text: str):
     """'max' or a fraction in (0, 1]; anything else is a usage error."""
     if text == "max":
         return "max"
-    if not 0.0 < float(text) <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be 'max' or in (0, 1], got {text}")
-    return float(text)
+    try:
+        if 0.0 < float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'max' or in (0, 1], got {text}")
 
 
 def _bin_count(text: str) -> int:
     """An integer >= 1; anything else is a usage error."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
 
 
 # HeadConfig field -> the train-head flag (dest) that sets it, where the names differ
@@ -218,14 +225,15 @@ def cmd_align(args, manifest) -> str:
     model = heads.load_checkpoint(args.model) if "model" in needs else None
     if "stats" in needs:
         scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
-    features = _load_features(manifest, args.split) if "model" in needs else {}
+    # paths resolved up front; each image's features are read when its map is aligned
+    paths = {e.image_id: _feature_path(manifest, e) for e in entries} if "model" in needs else {}
 
     if args.mode == "regressor":
         def scale_of(image_id):
-            return heads.predicted_scale(model, features[image_id])
+            return heads.predicted_scale(model, read_tensor(paths[image_id]))
     else:
         class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
-                    else lambda image_id: heads.predict_class(model, features[image_id]))
+                    else lambda image_id: heads.predict_class(model, read_tensor(paths[image_id])))
         scale_of = align_mod.scale_by_class(scales, class_of)
     aligned = align_mod.align_maps(maps, scale_of)
 

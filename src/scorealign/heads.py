@@ -12,9 +12,10 @@ Regression targets are each image's own (mean, max) or (mean, std) pixel
 scores; targets are z-normalized per training run so ALPHA is independent
 of the base scorer's scale. Input features are standardized per channel
 over the training set for the same reason (LR must not depend on the
-feature scale), once, in place, on the float64 [N, C, H, W] stack training
-gathers its batches from; prediction applies the same elementwise formula
-to its one image. Both sets of constants travel with the checkpoint.
+feature scale), never in place: each batch of the raw [N, C, H, W] stack
+is copied into one reused float64 buffer and standardized there, and
+prediction applies the same elementwise formula to its one image. Both
+sets of constants travel with the checkpoint.
 """
 
 from __future__ import annotations
@@ -144,20 +145,18 @@ class HeadModel:
 
 
 def standardize(x: np.ndarray, rows: Sequence[int]):
-    """Standardize the [N, C, H, W] float64 stack x in place by the per-channel
-    mean/std over all locations of the images x[rows], summed image by image
-    in row order; returns that (offset, scale)."""
+    """The per-channel (offset, scale) of the [N, C, H, W] stack x: the mean/std
+    over all locations of the images x[rows], each cast to float64 and summed
+    image by image in row order. x is not modified."""
     total = total_sq = None
     for row in rows:
-        s = x[row].sum(axis=(1, 2))
-        sq = (x[row]**2).sum(axis=(1, 2))
+        f = x[row].astype(np.float64)
+        s, sq = f.sum(axis=(1, 2)), (f**2).sum(axis=(1, 2))
         total = s if total is None else total + s
         total_sq = sq if total_sq is None else total_sq + sq
     count = len(rows) * x.shape[2] * x.shape[3]
     mean = total / count
     scale = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-8)
-    x -= mean[:, None, None]
-    x /= scale[:, None, None]
     return mean, scale
 
 
@@ -171,9 +170,9 @@ def _fit(
     batch_loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]],
     **model_fields,
 ) -> HeadModel:
-    """The SGD loop both heads share: batches x[rows[idx]] of the stack x
-    (standardized over rows first if norm is None), batch_loss(output, idx)
-    -> (mean loss, output gradient), clipped steps, the tail average as model."""
+    """The SGD loop both heads share: batches x[rows[idx]] of the raw stack x,
+    standardized by norm (fitted over rows if None) into one reused buffer, batch_loss(output,
+    idx) -> (mean loss, output gradient), clipped steps, the tail average as model."""
     train_cfg.validate()
     in_offset, in_scale = standardize(x, rows) if norm is None else norm
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
@@ -187,9 +186,10 @@ def _fit(
     iterations = train_cfg.iterations
     tail_start = iterations - int(AVG_FRAC * iterations)
     tail_sums, tail_count = None, 0  # running parameter sums from tail_start on
+    buf = np.empty((train_cfg.batch_size, *x.shape[1:]))
     for it in range(iterations):
         idx = rng.integers(0, len(rows), size=train_cfg.batch_size)
-        out = network.forward(x[rows[idx]], mode="train", rng=rng)
+        out = _forward(model, x[rows[idx]], buf, "train", rng)
         loss, grad = batch_loss(out, idx)
         if not np.isfinite(loss):
             raise net.NumericalError(f"non-finite loss at iteration {it}")
@@ -218,9 +218,9 @@ def train_regressor(
 ) -> HeadModel:
     """Train the statistics regressor on normal training images.
 
-    x is the [N, C, H, W] float64 stack of their features, score_maps their
-    maps row for row. With norm None, x holds raw features and is standardized
-    in place; else x was standardized by norm = (offset, scale) (`standardize`).
+    x is the [N, C, H, W] stack of their raw features, score_maps their maps
+    row for row. Each batch is standardized by norm = (offset, scale)
+    (`standardize`), fitted over all of x if None; x is not modified.
 
     Targets are (u_img, gamma_img) for the meanmax variant or
     (u_img, sigma_img) for the meanstd variant; dropout is active
@@ -251,10 +251,10 @@ def train_classifier(
 ) -> HeadModel:
     """Train the k-way class head with cross-entropy.
 
-    x is the [N, C, H, W] float64 stack of the raw features, class_ids their
-    class ids row for row. Every HOLDOUT_EVERY-th row is held out and its
-    post-training accuracy recorded on the model; x is standardized in place
-    by the norm of the other rows.
+    x is the [N, C, H, W] stack of the raw features, class_ids their class
+    ids row for row. Every HOLDOUT_EVERY-th row is held out and its accuracy,
+    scored batch_size rows at a time, recorded on the model; batches are
+    standardized by the norm of the other rows, and x is not modified.
     """
     if not len(x) or len(class_ids) != len(x):
         raise ValueError(f"{len(class_ids)} class ids for {len(x)} training images")
@@ -273,16 +273,21 @@ def train_classifier(
     k = len(classes)
     model = _fit(x, rows, None, head_cfg, train_cfg, k, batch_loss, target_offset=np.zeros(k),
                  target_scale=np.ones(k), class_labels=classes.tolist())
-    pred = np.argmax(model.network.forward(x[held], mode="eval"), axis=1)
+    held_rows, size = np.flatnonzero(held), train_cfg.batch_size
+    pred = np.concatenate([np.argmax(_forward(model, x[held_rows[i:i + size]]), axis=1)
+                           for i in range(0, len(held_rows), size)])
     model.holdout_accuracy = float(np.mean(pred == labels[held]))
     return model
 
 
-def _forward(model: HeadModel, features: np.ndarray) -> np.ndarray:
-    """The eval-mode output for one image, standardized by the model's input norm."""
-    x = ((np.asarray(features, dtype=np.float64) - model.input_offset[:, None, None])
-         / model.input_scale[:, None, None])
-    return model.network.forward(x[None], mode="eval")[0]
+def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.ndarray:
+    """The network's output for the [n, C, H, W] images, standardized by the
+    model's input norm into buf[:n] (a new float64 array if buf is None)."""
+    x = np.empty(np.shape(images)) if buf is None else buf[:len(images)]
+    x[...] = images
+    x -= model.input_offset[:, None, None]
+    x /= model.input_scale[:, None, None]
+    return model.network.forward(x, mode=mode, rng=rng)
 
 
 def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
@@ -292,7 +297,7 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
-    out = _forward(model, features) * model.target_scale + model.target_offset
+    out = _forward(model, [features])[0] * model.target_scale + model.target_offset
     return float(out[0]), float(out[1])
 
 
@@ -300,7 +305,7 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     """Argmax class for one image; ties break toward the lowest class id."""
     if model.class_labels is None:
         raise ValueError("predict_class needs a classifier model, got a regressor")
-    logits = _forward(model, features)
+    logits = _forward(model, [features])[0]
     # np.argmax returns the first (lowest) index on ties
     return model.class_labels[int(np.argmax(logits))]
 

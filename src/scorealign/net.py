@@ -166,7 +166,9 @@ class Dropout(Layer):
             return x
         if mode != "train":
             raise ValueError(f"unknown mode {mode!r}")
-        self._scale = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._scale = rng.random(x.shape)
+        np.greater_equal(self._scale, self.rate, out=self._scale)
+        self._scale *= 1.0 / (1.0 - self.rate)
         return x * self._scale
 
     def backward(self, grad_out):

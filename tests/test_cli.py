@@ -23,7 +23,7 @@ from scorealign.heads import (
     predict_class,
     predict_stats,
 )
-from scorealign.tensorio import read_manifest, read_tensor
+from scorealign.tensorio import read_manifest, read_tensor, write_tensor
 
 GEN_ARGS = ["--k-classes", "3", "--grid-h", "8", "--grid-w", "8",
             "--feat-dim", "4", "--train-normal", "12", "--test-normal", "6",
@@ -326,13 +326,16 @@ class TestExitCodes:
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
         (["report", "--top-fraction", "1.5"], 1,
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got 1.5\n"),
+        (["report", "--top-fraction", "abc"], 1,
+         "usage error: argument --top-fraction: must be 'max' or in (0, 1], got abc\n"),
         (["report", "--bins", "0"], 1, "usage error: argument --bins: must be >= 1, got 0\n"),
+        (["report", "--bins", "x"], 1, "usage error: argument --bins: must be >= 1, got x\n"),
         (["eval", "--top-fraction", "nan"], 1,
          "usage error: argument --top-fraction: must be 'max' or in (0, 1], got nan\n"),
         # the SGD settings are constants, not flags
         (["train-head", "--lr", "0.1"], 1, "usage error: unrecognized arguments: --lr 0.1\n"),
-    ], ids=["report-top-0", "report-top-nan", "report-top-1.5", "report-bins-0", "eval-top-nan",
-            "train-head-lr"])
+    ], ids=["report-top-0", "report-top-nan", "report-top-1.5", "report-top-abc", "report-bins-0",
+            "report-bins-x", "eval-top-nan", "train-head-lr"])
     def test_bad_image_score_setting_leaves_no_out(
             self, pipeline, tmp_path, capsys, argv, code, message):
         out = tmp_path / "out"
@@ -387,8 +390,11 @@ class TestExitCodes:
         assert f"{last_train['image_id']}: no feature_path" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["fit-base"], ["score", "--coreset", "{root}/coreset"]],
-                             ids=["fit-base", "score"])
+    @pytest.mark.parametrize("argv", [
+        ["fit-base"], ["score", "--coreset", "{root}/coreset"],
+        ["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg",
+         "--split", "train"],
+    ], ids=["fit-base", "score", "align-regressor"])
     def test_missing_feature_file_is_data_error(self, pipeline, tmp_path, capsys, argv):
         doc = json.loads((pipeline / "data" / "manifest.json").read_text())
         for rec in doc["images"]:
@@ -401,6 +407,8 @@ class TestExitCodes:
         argv = [a.format(root=pipeline) for a in argv]
         assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 2
         assert str(missing) in capsys.readouterr().err
+        # score writes each chunk of maps as it goes, so only it may leave a partial --out
+        assert argv[0] == "score" or not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags,field", [
         (["--grid-h", "2", "--grid-w", "2"], "area_min"),
@@ -786,17 +794,23 @@ class TestAblateCommand:
 
 
 class TestTrainStack:
-    """train-head and ablate read the train split once, straight into one float64 stack."""
+    """train-head and ablate read the train split once, straight into one stack
+    in the feature files' dtype (float32); align reads each image's features once."""
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
-    @pytest.mark.parametrize("argv", [
-        ["train-head", "--mode", "regressor", "--maps", "{root}/maps", "--structure", "2lin",
-         "--hidden-dim", "4", "--iterations", "2"],
-        ["train-head", "--mode", "classifier", "--structure", "2lin", "--hidden-dim", "4",
-         "--iterations", "2"],
-        ["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"],
-    ], ids=["regressor", "classifier", "ablate"])
-    def test_each_train_feature_file_is_read_once(self, pipeline, tmp_path, monkeypatch, argv):
+    @pytest.mark.parametrize("argv,split", [
+        (["train-head", "--mode", "regressor", "--maps", "{root}/maps", "--structure", "2lin",
+          "--hidden-dim", "4", "--iterations", "2"], "train"),
+        (["train-head", "--mode", "classifier", "--structure", "2lin", "--hidden-dim", "4",
+          "--iterations", "2"], "train"),
+        (["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"], "train"),
+        (["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
+         "test"),
+        (["align", "--mode", "classifier", "--maps", "{root}/maps", "--model", "{root}/clf",
+          "--stats", "{root}/stats.csv"], "test"),
+    ], ids=["regressor", "classifier", "ablate", "align-regressor", "align-classifier"])
+    def test_each_train_feature_file_is_read_once(
+            self, pipeline, tmp_path, monkeypatch, argv, split):
         reads = Counter()
 
         def counted(path):
@@ -806,15 +820,33 @@ class TestTrainStack:
         assert main([a.format(root=pipeline) for a in argv]
                     + ["--data", str(pipeline / "data"), "--out", str(tmp_path / "out")]) == 0
         man = read_manifest(pipeline / "data" / "manifest.json")
-        train = {man.resolve(e.feature_path) for e in man.split("train")}
-        assert {path: n for path, n in reads.items() if path in train} == dict.fromkeys(train, 1)
+        feats = {man.resolve(e.feature_path) for e in man.split(split)}
+        assert {path: n for path, n in reads.items() if path in feats} == dict.fromkeys(feats, 1)
+
+    def test_mixed_feature_dtypes_are_data_error(self, pipeline, tmp_path, capsys):
+        """A train file of another dtype than the first is rejected, not rounded."""
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        last = sorted(man.split("train"), key=lambda e: e.image_id)[-1]
+        wide = tmp_path / "wide.adt"
+        write_tensor(wide, read_tensor(man.resolve(last.feature_path)).astype(np.float64))
+
+        def edit(doc):
+            rec = next(r for r in doc["images"] if r["image_id"] == last.image_id)
+            rec["feature_path"] = str(wide)
+        _manifest_copy(pipeline, tmp_path / "data", edit)
+        out = tmp_path / "clf"
+        assert main(["train-head", "--data", str(tmp_path / "data"), "--mode", "classifier",
+                     "--out", str(out), "--iterations", "1"]) == 2
+        assert (f"error: {last.image_id}: features float64 (4, 8, 8), not float32 (4, 8, 8)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_train_head_peak_memory_is_the_stack(self, tmp_path):
         data = str(tmp_path / "data")
         assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
                      "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
                      "--test-anomalous", "1"]) == 0
-        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float64).itemsize
+        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -824,8 +856,8 @@ class TestTrainStack:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # ~1.17x: the stack, its 10% holdout rows and the network; the float32
-        # features kept beside the stack would add half of it again (~1.69x)
+        # ~1.2x: the float32 stack plus the network and its batches; a float64
+        # copy of the stack alone would be 2x
         assert peak < 1.3 * stack_bytes
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scorealign import net
+from scorealign import heads, net
 from scorealign.align import (
     ClassStats,
     DegenerateScaleWarning,
@@ -49,10 +49,10 @@ def _class_images(rng, center, spread, n, prefix):
 
 
 def _training_set(feats, per_image):
-    """The float64 stack of `feats` in sorted-id order and the matching rows
+    """The stack of `feats` (float32) in sorted-id order and the matching rows
     of `per_image` (score maps or class ids), as the CLI hands them over."""
     ids = sorted(feats)
-    return np.stack([feats[i].astype(np.float64) for i in ids]), [per_image[i] for i in ids]
+    return np.stack([feats[i] for i in ids]), [per_image[i] for i in ids]
 
 
 def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None):
@@ -92,6 +92,13 @@ class TestImageStats:
         assert sigma == pytest.approx(np.std([0, 1, 2, 3]), abs=1e-15)
 
 
+class _Echo:
+    """A network stand-in whose output is its input."""
+
+    def forward(self, x, mode="eval", rng=None):
+        return x.copy()
+
+
 class TestStandardize:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -110,13 +117,22 @@ class TestStandardize:
         mean = total / count
         std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean**2, 0.0)), 1e-8)
 
-        x = feats.astype(np.float64)
+        x = feats.copy()
         offset, scale = standardize(x, rows)
         assert offset.tobytes() == mean.tobytes()
         assert scale.tobytes() == std.tobytes()
-        for row in range(shape[0]):
+        assert x.tobytes() == feats.tobytes()
+
+        # a training batch (one buffer, larger than the batch) and a one-image
+        # prediction standardize each image as the reference does
+        model = HeadModel(config=HeadConfig(), in_channels=shape[1], network=_Echo(), seed=0,
+                          input_offset=offset, input_scale=scale)
+        batch = heads._forward(model, x[rows], np.empty((len(rows) + 1, *shape[1:])))
+        for row, got in zip(rows, batch):
             ref = (feats[row].astype(np.float64) - mean[:, None, None]) / std[:, None, None]
-            assert x[row].tobytes() == ref.tobytes()
+            assert got.tobytes() == ref.tobytes()
+            assert heads._forward(model, [x[row]])[0].tobytes() == ref.tobytes()
+        assert x.tobytes() == feats.tobytes()
 
     def test_shared_standardized_stack_trains_the_same_head(self):
         rng = np.random.default_rng(6)
@@ -124,8 +140,10 @@ class TestStandardize:
         cfg, tc = HeadConfig(structure="1conv+2lin", hidden_dim=8), TrainConfig(iterations=20)
         own = train_regressor(*_training_set(feats, maps), cfg, tc)
         x, row_maps = _training_set(feats, maps)
+        raw = x.copy()
         norm = standardize(x, range(len(x)))
         shared = [train_regressor(x, row_maps, cfg, tc, norm) for _ in range(2)]
+        assert x.dtype == np.float32 and x.tobytes() == raw.tobytes()
         for model in shared:
             assert model.loss_trace == own.loss_trace
             assert model.input_offset.tobytes() == own.input_offset.tobytes()
@@ -282,6 +300,24 @@ class TestClassifier:
         cfg = HeadConfig(structure="2lin", hidden_dim=16)
         model = train_classifier(*_training_set(feats, labels), cfg, TrainConfig(iterations=200))
         assert model.holdout_accuracy <= 0.6  # chance is 0.25
+
+    @pytest.mark.parametrize("structure", ["2lin", "1conv+2lin"])
+    def test_holdout_in_batches_matches_one_forward(self, structure):
+        """Scoring the 5 held-out rows 2 at a time gives the accuracy of one
+        forward over all of them."""
+        rng = np.random.default_rng(205)
+        feats, _ = _class_images(rng, np.zeros(DIM), 1.0, 48, "x")
+        labels = {i: n % 4 for n, i in enumerate(sorted(feats))}
+        x, class_ids = _training_set(feats, labels)
+        model = train_classifier(x, class_ids, HeadConfig(structure=structure, hidden_dim=8),
+                                 TrainConfig(iterations=30, batch_size=2))
+        held = np.arange(len(x)) % heads.HOLDOUT_EVERY == 0
+        assert held.sum() == 5
+        standardized = ((x[held] - model.input_offset[:, None, None])
+                        / model.input_scale[:, None, None])
+        pred = np.argmax(model.network.forward(standardized, mode="eval"), axis=1)
+        expected = np.mean(np.array(model.class_labels)[pred] == np.array(class_ids)[held])
+        assert model.holdout_accuracy == float(expected)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(202)

@@ -100,9 +100,9 @@ def scale_by_class(scales: Mapping[int, Scale],
     def scale_of(image_id: str) -> Scale:
         cid = class_of(image_id)
         if cid is None:
-            raise KeyError(f"{image_id}: no class label")
+            raise ValueError(f"{image_id}: no class label")
         if cid not in scales:
-            raise KeyError(f"{image_id}: no fitted stats for class {cid}")
+            raise ValueError(f"{image_id}: no fitted stats for class {cid}")
         return scales[cid]
     return scale_of
 

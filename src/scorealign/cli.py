@@ -59,15 +59,17 @@ def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
     return manifest.resolve(e.feature_path)
 
 
-def _load_features(manifest: DatasetManifest, split: str) -> dict[str, np.ndarray]:
-    return {e.image_id: read_tensor(_feature_path(manifest, e)) for e in manifest.split(split)}
-
-
-def _read_train_stack(manifest: DatasetManifest) -> tuple[list[ImageEntry], np.ndarray]:
-    """The train entries in id order and their features, in one stack of the files' dtype."""
-    entries = sorted(manifest.split("train"), key=lambda e: e.image_id)
+def _split(manifest: DatasetManifest, split: str) -> list[ImageEntry]:
+    """The split's entries in manifest order; an empty split is a ManifestError."""
+    entries = manifest.split(split)
     if not entries:
-        raise ManifestError("empty training set")
+        raise ManifestError(f"no {split} images in the manifest")
+    return entries
+
+
+def _read_stack(manifest: DatasetManifest, split: str) -> tuple[list[ImageEntry], np.ndarray]:
+    """The split's entries in id order and their features, in one stack of the files' dtype."""
+    entries = sorted(_split(manifest, split), key=lambda e: e.image_id)
     for row, e in enumerate(entries):
         f = read_tensor(_feature_path(manifest, e))
         if row == 0:
@@ -87,6 +89,13 @@ def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[st
             raise ManifestError(f"{e.image_id}: missing score map {path}")
         out[e.image_id] = read_tensor(path)
     return out
+
+
+def _write_maps(out_dir: Path, maps: dict[str, np.ndarray]) -> None:
+    """One <image_id>.adt tensor file per map, in a directory made for them."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for image_id, values in maps.items():
+        write_tensor(out_dir / f"{image_id}.adt", values)
 
 
 def _top_fraction(text: str):
@@ -138,8 +147,8 @@ def cmd_gen(args, manifest) -> str:
 
 
 def cmd_fit_base(args, manifest) -> str:
-    features = _load_features(manifest, "train")
-    points = synth.fit_coreset(features, args.m_per_image, seed=args.seed)
+    _, x = _read_stack(manifest, "train")
+    points = synth.fit_coreset(x, args.m_per_image, seed=args.seed)
     out_dir = Path(args.out)
     synth.save_coreset(points, out_dir)
     return f"coreset with {points.shape[0]} points -> {out_dir}"
@@ -155,22 +164,22 @@ def cmd_score(args, manifest) -> str:
     splits = ("train", "test") if args.split == "all" else (args.split,)
     todo = [(e.image_id, _feature_path(manifest, e))
             for split in splits for e in manifest.split(split)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, feats, rows = [], [], 0
+    # every map is computed before --out is made, so a failed score leaves none
+    maps, ids, feats, rows = {}, [], [], 0
     for n, (image_id, path) in enumerate(todo, 1):
         ids.append(image_id)
         feats.append(read_tensor(path))
         rows += math.prod(feats[-1].shape[1:])
         if rows >= SCORE_CHUNK_ROWS or n == len(todo):
-            for done, smap in zip(ids, synth.score_knn(feats, tree)):
-                write_tensor(out_dir / f"{done}.adt", smap)
+            maps.update(zip(ids, synth.score_knn(feats, tree)))
             ids, feats, rows = [], [], 0
+    out_dir = Path(args.out)
+    _write_maps(out_dir, maps)
     return f"scored {len(todo)} images -> {out_dir}"
 
 
 def cmd_stats(args, manifest) -> str:
-    train = manifest.split("train")
+    train = _split(manifest, "train")
     if any(e.class_id is None for e in train):
         raise ManifestError("stats needs class_ids on every train image")
     maps = _load_maps(manifest, Path(args.maps), "train")
@@ -187,7 +196,7 @@ def cmd_stats(args, manifest) -> str:
 def cmd_train_head(args, manifest) -> str:
     if args.mode == "regressor" and args.maps is None:
         raise UsageError("train-head --mode regressor needs --maps")
-    entries, x = _read_train_stack(manifest)
+    entries, x = _read_stack(manifest, "train")
     head_cfg = heads.HeadConfig(**{f.name: getattr(args, _HEAD_FLAGS.get(f.name, f.name))
                                    for f in fields(heads.HeadConfig)})
     train_cfg = heads.TrainConfig(**{f.name: getattr(args, f.name)
@@ -230,7 +239,7 @@ def cmd_align(args, manifest) -> str:
 
     if args.mode == "regressor":
         def scale_of(image_id):
-            return heads.predicted_scale(model, read_tensor(paths[image_id]))
+            return heads.predict_stats(model, read_tensor(paths[image_id]))
     else:
         class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
                     else lambda image_id: heads.predict_class(model, read_tensor(paths[image_id])))
@@ -238,9 +247,7 @@ def cmd_align(args, manifest) -> str:
     aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for image_id, values in aligned.items():
-        write_tensor(out_dir / f"{image_id}.adt", values)
+    _write_maps(out_dir, aligned)
     return f"aligned {len(aligned)} maps ({args.mode}) -> {out_dir}"
 
 
@@ -319,12 +326,13 @@ ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 
 def cmd_ablate(args, manifest) -> str:
-    entries, x = _read_train_stack(manifest)
+    entries, x = _read_stack(manifest, "train")
     norm = heads.standardize(x, range(len(x)))
     maps = _load_maps(manifest, Path(args.maps), "train")
     train_maps = [maps[e.image_id] for e in entries]
     test_maps = _load_maps(manifest, Path(args.maps), "test")
-    test_features = _load_features(manifest, "test")
+    test_entries, test_x = _read_stack(manifest, "test")
+    test_features = dict(zip((e.image_id for e in test_entries), test_x))
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
 
@@ -338,7 +346,7 @@ def cmd_ablate(args, manifest) -> str:
             train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
             model = heads.train_regressor(x, train_maps, head_cfg, train_cfg, norm)
             aligned = align_mod.align_maps(
-                test_maps, lambda image_id: heads.predicted_scale(model, test_features[image_id]))
+                test_maps, lambda image_id: heads.predict_stats(model, test_features[image_id]))
             for tf in ABLATION_TOP_FRACTIONS:
                 cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
                 rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ManifestError, TensorFormatError, metrics.UndefinedMetricError,
-            OSError, KeyError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except net.NumericalError as exc:

@@ -291,14 +291,18 @@ def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.nd
 
 
 def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
-    """Predict (u_hat, gamma_hat) or (u_hat, sigma_hat) for one image.
+    """The regressor's (u, gamma) for one image.
 
-    Deterministic: dropout is identity in eval mode.
+    A meanstd head predicts (u, sigma); a negative sigma is clamped to 0
+    before gamma = u + 3*sigma. Deterministic: dropout is identity in eval mode.
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
     out = _forward(model, [features])[0] * model.target_scale + model.target_offset
-    return float(out[0]), float(out[1])
+    u_hat, second = float(out[0]), float(out[1])
+    if model.config.target == "meanmax":
+        return u_hat, second
+    return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
 def predict_class(model: HeadModel, features: np.ndarray) -> int:
@@ -308,18 +312,6 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     logits = _forward(model, [features])[0]
     # np.argmax returns the first (lowest) index on ties
     return model.class_labels[int(np.argmax(logits))]
-
-
-def predicted_scale(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
-    """The regressor's (u, gamma) for one image.
-
-    A meanstd head predicts (u, sigma); a negative sigma is clamped to 0
-    before gamma = u + 3*sigma.
-    """
-    u_hat, second = predict_stats(model, features)
-    if model.config.target == "meanmax":
-        return u_hat, second
-    return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
 
 
 # the HeadModel arrays head.json stores as lists of floats

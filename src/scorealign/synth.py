@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -166,23 +166,21 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     return manifest
 
 
-def fit_coreset(features: Mapping[str, np.ndarray], m_per_image: int, seed: int = 0) -> np.ndarray:
-    """The memory bank of normal feature vectors, [M, feat_dim] float64:
-    m_per_image uniformly subsampled grid locations per training image."""
-    if not features:
-        raise ValueError("empty training set")
+def fit_coreset(x: np.ndarray, m_per_image: int, seed: int = 0) -> np.ndarray:
+    """The memory bank of normal feature vectors, [M, D] float64:
+    m_per_image uniformly subsampled grid locations of each image of the
+    [N, D, H, W] training stack x, in row order."""
+    _, d, h, w = x.shape
+    n_loc = h * w
+    if not 1 <= m_per_image <= n_loc:
+        raise ValueError(f"m_per_image must be in [1, {n_loc}], got {m_per_image}")
     chunks = []
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    for image_id in sorted(features):
-        feats = np.asarray(features[image_id], dtype=np.float64)
-        d, h, w = feats.shape
-        n_loc = h * w
-        if not 1 <= m_per_image <= n_loc:
-            raise ValueError(f"m_per_image must be in [1, {n_loc}], got {m_per_image}")
+    for feats in x:
         flat = feats.reshape(d, n_loc).T
         idx = rng.permutation(n_loc)[:m_per_image]
         chunks.append(flat[np.sort(idx)])
-    return np.concatenate(chunks)
+    return np.concatenate(chunks, dtype=np.float64)
 
 
 def score_knn(features: Sequence[np.ndarray], tree: cKDTree) -> list[np.ndarray]:

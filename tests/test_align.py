@@ -161,12 +161,12 @@ class TestOracleAlignment:
     def test_missing_class_rejected(self):
         maps = {"a": np.ones(2)}
         stats = [ClassStats(0, 0.0, 1.0, 0.3, 1, 2)]
-        with pytest.raises(KeyError, match="class 5"):
+        with pytest.raises(ValueError, match="class 5"):
             _oracle_align(maps, {"a": 5}, stats)
 
     def test_missing_label_rejected(self):
         maps = {"a": np.ones(2)}
-        with pytest.raises(KeyError, match="no class label"):
+        with pytest.raises(ValueError, match="no class label"):
             _oracle_align(maps, {}, [ClassStats(0, 0.0, 1.0, 0.3, 1, 2)])
 
     def test_unknown_variant_rejected(self):

@@ -177,8 +177,7 @@ def _expected_scale(pipeline, mode, variant, entry, features):
     from the stats CSV, the manifest and the head predictions."""
     if mode == "regressor":
         model = load_checkpoint(pipeline / ("reg" if variant == "meanmax" else "reg_meanstd"))
-        u, second = predict_stats(model, features)
-        return (u, second) if variant == "meanmax" else (u, u + 3.0 * max(second, 0.0))
+        return predict_stats(model, features)
     if mode == "oracle":
         cid = entry.class_id
     else:
@@ -407,8 +406,58 @@ class TestExitCodes:
         argv = [a.format(root=pipeline) for a in argv]
         assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 2
         assert str(missing) in capsys.readouterr().err
-        # score writes each chunk of maps as it goes, so only it may leave a partial --out
-        assert argv[0] == "score" or not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_score_failing_in_its_last_chunk_leaves_no_out(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        """score writes no map until every chunk is scored."""
+        chunks = []
+        score_knn = synth.score_knn
+
+        def recording(features, tree):
+            chunks.append(len(features))
+            return score_knn(features, tree)
+
+        # 300 rows is 5 of the fixture's 8x8 images a chunk
+        monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", 300)
+        monkeypatch.setattr(synth, "score_knn", recording)
+        corrupt = tmp_path / "corrupt.adt"
+        corrupt.write_bytes(b"ADT1garbage")
+
+        def edit(doc):
+            doc["images"][-1]["feature_path"] = str(corrupt)
+        manifest = _manifest_copy(pipeline, tmp_path / "data", edit)
+        out = tmp_path / "maps"
+        assert main(["score", "--data", str(manifest.parent),
+                     "--coreset", str(pipeline / "coreset"), "--out", str(out)]) == 2
+        assert str(corrupt) in capsys.readouterr().err
+        assert chunks == [5] * (len(json.loads(manifest.read_text())["images"]) // 5)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,split", [
+        (["stats", "--maps", "{root}/maps"], "train"),
+        (["fit-base"], "train"),
+        (["train-head", "--mode", "classifier"], "train"),
+        (["ablate", "--maps", "{root}/maps"], "test"),
+    ], ids=["stats", "fit-base", "train-head", "ablate-test"])
+    def test_empty_split_is_data_error_naming_it(
+            self, pipeline, tmp_path, capsys, argv, split):
+        def edit(doc):
+            doc["images"] = [r for r in doc["images"] if r["split"] != split]
+        manifest = _manifest_copy(pipeline, tmp_path / "data", edit)
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(manifest.parent), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no {split} images in the manifest\n"
+        assert not out.exists()
+
+    def test_key_error_in_a_stage_is_no_data_error(self, pipeline, tmp_path, monkeypatch):
+        """A KeyError is a bug, not bad input: main lets it propagate."""
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+        monkeypatch.setattr(synth, "fit_coreset", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["fit-base", "--data", str(pipeline / "data"), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("flags,field", [
         (["--grid-h", "2", "--grid-w", "2"], "area_min"),
@@ -794,8 +843,9 @@ class TestAblateCommand:
 
 
 class TestTrainStack:
-    """train-head and ablate read the train split once, straight into one stack
-    in the feature files' dtype (float32); align reads each image's features once."""
+    """fit-base, train-head and ablate read each split they need once, straight
+    into one stack in the feature files' dtype (float32); align reads each
+    image's features once."""
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
     @pytest.mark.parametrize("argv,split", [
@@ -803,12 +853,15 @@ class TestTrainStack:
           "--hidden-dim", "4", "--iterations", "2"], "train"),
         (["train-head", "--mode", "classifier", "--structure", "2lin", "--hidden-dim", "4",
           "--iterations", "2"], "train"),
+        (["fit-base", "--m-per-image", "8"], "train"),
         (["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"], "train"),
+        (["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"], "test"),
         (["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
          "test"),
         (["align", "--mode", "classifier", "--maps", "{root}/maps", "--model", "{root}/clf",
           "--stats", "{root}/stats.csv"], "test"),
-    ], ids=["regressor", "classifier", "ablate", "align-regressor", "align-classifier"])
+    ], ids=["regressor", "classifier", "fit-base", "ablate", "ablate-test", "align-regressor",
+            "align-classifier"])
     def test_each_train_feature_file_is_read_once(
             self, pipeline, tmp_path, monkeypatch, argv, split):
         reads = Counter()
@@ -823,22 +876,31 @@ class TestTrainStack:
         feats = {man.resolve(e.feature_path) for e in man.split(split)}
         assert {path: n for path, n in reads.items() if path in feats} == dict.fromkeys(feats, 1)
 
-    def test_mixed_feature_dtypes_are_data_error(self, pipeline, tmp_path, capsys):
-        """A train file of another dtype than the first is rejected, not rounded."""
+    @pytest.mark.parametrize("change,named", [
+        (lambda f: f.astype(np.float64), "features float64 (4, 8, 8), not float32 (4, 8, 8)"),
+        (lambda f: f[:, :, :7], "features float32 (4, 8, 7), not float32 (4, 8, 8)"),
+    ], ids=["dtype", "shape"])
+    @pytest.mark.parametrize("argv,split", [
+        (["train-head", "--mode", "classifier", "--iterations", "1"], "train"),
+        (["fit-base"], "train"),
+        (["ablate", "--maps", "{root}/maps", "--iterations", "1"], "test"),
+    ], ids=["train-head", "fit-base", "ablate-test"])
+    def test_mixed_feature_dtypes_are_data_error(
+            self, pipeline, tmp_path, capsys, argv, split, change, named):
+        """A file of another dtype or shape than the split's first is rejected, not cast."""
         man = read_manifest(pipeline / "data" / "manifest.json")
-        last = sorted(man.split("train"), key=lambda e: e.image_id)[-1]
-        wide = tmp_path / "wide.adt"
-        write_tensor(wide, read_tensor(man.resolve(last.feature_path)).astype(np.float64))
+        last = sorted(man.split(split), key=lambda e: e.image_id)[-1]
+        odd = tmp_path / "odd.adt"
+        write_tensor(odd, change(read_tensor(man.resolve(last.feature_path))))
 
         def edit(doc):
             rec = next(r for r in doc["images"] if r["image_id"] == last.image_id)
-            rec["feature_path"] = str(wide)
+            rec["feature_path"] = str(odd)
         _manifest_copy(pipeline, tmp_path / "data", edit)
-        out = tmp_path / "clf"
-        assert main(["train-head", "--data", str(tmp_path / "data"), "--mode", "classifier",
-                     "--out", str(out), "--iterations", "1"]) == 2
-        assert (f"error: {last.image_id}: features float64 (4, 8, 8), not float32 (4, 8, 8)"
-                in capsys.readouterr().err)
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(tmp_path / "data"), "--out", str(out)]) == 2
+        assert f"error: {last.image_id}: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_head_peak_memory_is_the_stack(self, tmp_path):

@@ -22,7 +22,6 @@ from scorealign.heads import (
     load_checkpoint,
     predict_class,
     predict_stats,
-    predicted_scale,
     save_checkpoint,
     standardize,
     train_classifier,
@@ -362,7 +361,7 @@ def _align_one(values, scale_of):
 
 
 def _regressor_scale_of(model, features):
-    return lambda image_id: predicted_scale(model, features)
+    return lambda image_id: predict_stats(model, features)
 
 
 def _classifier_scale_of(model, stats, features):
@@ -393,6 +392,12 @@ class TestCalibrate:
         ref = normalize_meanmax(values, 1.0, 1.0 + 3.0 * 0.5)
         assert out.tobytes() == ref.tobytes()
 
+    def test_meanstd_prediction_is_u_and_gamma(self):
+        f = np.zeros((DIM, *GRID), dtype=np.float32)
+        assert predict_stats(_const_model([1.0, 0.5], target="meanstd"), f) == (1.0, 2.5)
+        # a negative predicted sigma is clamped to 0, so gamma = u
+        assert predict_stats(_const_model([1.0, -2.0], target="meanstd"), f) == (1.0, 1.0)
+
     def test_negative_predicted_sigma_clamped(self):
         model = _const_model([1.0, -2.0], target="meanstd")
         f = np.zeros((DIM, *GRID), dtype=np.float32)
@@ -410,7 +415,7 @@ class TestCalibrate:
     def test_classifier_missing_stats_rejected(self):
         model = _const_model([5.0, 0.0], class_labels=[3, 4])
         f = np.zeros((DIM, *GRID), dtype=np.float32)
-        with pytest.raises(KeyError, match="class 3"):
+        with pytest.raises(ValueError, match="class 3"):
             _align_one(np.ones(2), _classifier_scale_of(model, [], f))
 
 

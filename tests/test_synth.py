@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
+from scorealign.cli import _read_stack
 from scorealign.metrics import evaluate
 from scorealign.synth import (
     SynthConfig,
@@ -128,37 +129,34 @@ class TestGenerate:
 class TestCoreset:
     def test_full_sampling_keeps_every_location(self):
         rng = np.random.default_rng(0)
-        feats = {"a": rng.normal(size=(4, 3, 3)).astype(np.float32)}
-        points = fit_coreset(feats, m_per_image=9)
+        x = rng.normal(size=(1, 4, 3, 3)).astype(np.float32)
+        points = fit_coreset(x, m_per_image=9)
         assert points.shape == (9, 4)
-        flat = np.asarray(feats["a"], dtype=np.float64).reshape(4, 9).T
+        flat = np.asarray(x[0], dtype=np.float64).reshape(4, 9).T
         assert np.array_equal(np.sort(points, axis=0), np.sort(flat, axis=0))
 
     def test_seeded_subsampling_reproducible(self):
         rng = np.random.default_rng(1)
-        feats = {f"i{i}": rng.normal(size=(4, 6, 6)).astype(np.float32)
-                 for i in range(5)}
-        a = fit_coreset(feats, 8, seed=3)
-        b = fit_coreset(feats, 8, seed=3)
-        c = fit_coreset(feats, 8, seed=4)
+        x = np.stack([rng.normal(size=(4, 6, 6)).astype(np.float32) for _ in range(5)])
+        a = fit_coreset(x, 8, seed=3)
+        b = fit_coreset(x, 8, seed=3)
+        c = fit_coreset(x, 8, seed=4)
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
         assert a.shape == (40, 4)
 
     def test_invalid_m_rejected(self):
-        feats = {"a": np.zeros((4, 3, 3), dtype=np.float32)}
+        x = np.zeros((1, 4, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError):
-            fit_coreset(feats, 0)
+            fit_coreset(x, 0)
         with pytest.raises(ValueError):
-            fit_coreset(feats, 10)
-        with pytest.raises(ValueError):
-            fit_coreset({}, 1)
+            fit_coreset(x, 10)
 
     def test_score_of_member_is_zero(self):
         rng = np.random.default_rng(2)
-        feats = {"a": rng.normal(size=(4, 3, 3)).astype(np.float32)}
-        tree = cKDTree(fit_coreset(feats, m_per_image=9))
-        scores = score_knn([feats["a"]], tree)[0]
+        x = rng.normal(size=(1, 4, 3, 3)).astype(np.float32)
+        tree = cKDTree(fit_coreset(x, m_per_image=9))
+        scores = score_knn([x[0]], tree)[0]
         assert np.allclose(scores, 0.0, atol=1e-7)
 
     def test_three_four_five_distance(self):
@@ -172,8 +170,8 @@ class TestCoreset:
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        feats = {"a": rng.normal(size=(4, 4, 4)).astype(np.float32)}
-        points = fit_coreset(feats, 6)
+        x = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
+        points = fit_coreset(x, 6)
         save_coreset(points, tmp_path)
         back = load_coreset(tmp_path)
         assert back.data.tobytes() == points.tobytes()
@@ -227,7 +225,7 @@ class TestScaleMismatchMechanism:
                           spread_min=0.25, spread_max=4.0, train_normal=40,
                           test_normal=12, test_anomalous=12, seed=6)
         man = generate(cfg, tmp_path)
-        train = _load_features(man, "train")
+        _, train = _read_stack(man, "train")
         test = _load_features(man, "test")
         tree = cKDTree(fit_coreset(train, 16, seed=0))
         maps = {i: score_knn([f], tree)[0] for i, f in test.items()}

@@ -5,6 +5,7 @@ mean of per-image maxima (robust stand-in for the population max), and
 the population std. Alignment maps each class's scores through the
 affine transform s -> (s - u) / (gamma - u), sending class normals to
 mean 0 / reference-max 1 while preserving within-class rank order.
+Only this module tells the two variants apart: `map_pair` and `variant_scale`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .tensorio import columns, read_csv
 
 Scale = tuple[float, float]  # (u, gamma) of one image or class
-VARIANTS = ("meanmax", "meanstd")  # gamma: the mean of per-image maxima, or u + 3*sigma
+VARIANTS = ("meanmax", "meanstd")  # pairs (u, gamma) and (u, sigma); see variant_scale
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -77,20 +78,28 @@ def normalize_meanmax(values: np.ndarray, u: float, gamma: float, eps: float = 1
     return (np.asarray(values, dtype=np.float64) - u) / denom
 
 
-def meanstd_gamma(u: float, sigma: float) -> float:
-    """The mean/std variant's reference max: gamma = u + 3*sigma."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return u + 3.0 * sigma
+def map_pair(values: np.ndarray, variant: str) -> tuple[float, float]:
+    """The pair a regressor of the variant (a VARIANTS name) learns from one
+    score map, in float64: its (mean, max) for meanmax, (mean, std) for meanstd."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    return float(np.mean(v)), float(np.max(v) if variant == "meanmax" else np.std(v))
+
+
+def variant_scale(variant: str, u: float, second: float) -> Scale:
+    """The (u, gamma) of a variant's pair: meanmax's (u, gamma) as it is,
+    meanstd's (u, sigma) as (u, u + 3*max(sigma, 0))."""
+    if variant == "meanmax":
+        return u, second
+    return u, u + 3.0 * max(second, 0.0)
 
 
 def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[int, Scale]:
-    """Each class's (u, gamma) under the meanmax or meanstd variant."""
-    if variant == "meanmax":
-        return {s.class_id: (s.u, s.gamma) for s in stats}
-    if variant == "meanstd":
-        return {s.class_id: (s.u, meanstd_gamma(s.u, s.sigma)) for s in stats}
-    raise ValueError(f"unknown variant {variant!r}")
+    """Each class's (u, gamma) under the variant, from its fitted (u, gamma)
+    or (u, sigma)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return {s.class_id: variant_scale(variant, s.u, s.gamma if variant == "meanmax" else s.sigma)
+            for s in stats}
 
 
 def scale_by_class(scales: Mapping[int, Scale],
@@ -117,8 +126,8 @@ def align_maps(maps: Mapping[str, np.ndarray],
 
 
 def read_stats_csv(path) -> list[ClassStats]:
-    """The ClassStats table `stats` writes. A repeated class_id or a non-finite
-    statistic is a ValueError naming the file and line."""
+    """The ClassStats table `stats` writes. A repeated class_id, a non-finite
+    statistic or a negative sigma is a ValueError naming the file and line."""
     seen = set()
 
     def parse(cells):
@@ -127,6 +136,8 @@ def read_stats_csv(path) -> list[ClassStats]:
                        int(n_images), int(n_pixels))
         if not np.isfinite([s.u, s.gamma, s.sigma]).all():
             raise ValueError("non-finite statistic")
+        if s.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma}")
         if s.class_id in seen:
             raise ValueError(f"repeated class_id {s.class_id}")
         seen.add(s.class_id)

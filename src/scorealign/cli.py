@@ -227,8 +227,8 @@ def cmd_align(args, manifest) -> str:
     needs = _ALIGN_FLAGS[args.mode]
     if any(getattr(args, flag) is None for flag in needs):
         raise UsageError(f"align --mode {args.mode} needs " + " and ".join("--" + f for f in needs))
-    maps = _load_maps(manifest, Path(args.maps), args.split)
-    entries = manifest.split(args.split)
+    maps = _load_maps(manifest, Path(args.maps), "test")
+    entries = manifest.split("test")
     if args.mode == "oracle" and any(e.class_id is None for e in entries):
         raise ManifestError("align --mode oracle needs class_ids in the manifest")
     model = heads.load_checkpoint(args.model) if "model" in needs else None
@@ -395,24 +395,24 @@ def build_parser() -> _Parser:
     _add_flags(p, **{_HEAD_FLAGS.get(f.name, f.name): f.default
                      for f in fields(head) + fields(train)})
 
-    p = _subcommand(sub, "align", cmd_align, "calibrate score maps", "data", "maps", "out")
+    p = _subcommand(sub, "align", cmd_align, "calibrate the test split's score maps",
+                    "data", "maps", "out")
     p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
     p.add_argument("--stats", help="class-stats CSV (oracle / classifier modes)")
     p.add_argument("--model", help="head checkpoint dir (classifier / regressor modes)")
     p.add_argument("--variant", choices=align_mod.VARIANTS, default="meanmax",
                    help="oracle / classifier modes; regressor mode takes the variant "
                         "from the head's train-head --target")
-    p.add_argument("--split", choices=("train", "test"), default="test")
 
     p = _subcommand(sub, "eval", cmd_eval, "image- and pixel-level metrics on the test split",
                     "data", "maps", "out")
-    p.add_argument("--top-fraction", type=_top_fraction, default=0.01,
+    p.add_argument("--top-fraction", type=_top_fraction, default=metrics.TOP_FRACTION,
                    help="fraction of highest pixels for the image score, or 'max'")
 
     p = _subcommand(sub, "report", cmd_report, "aggregate CSVs and per-class score histograms",
                     "data", "maps", "out")
     p.add_argument("--metrics", nargs="*", help="metrics CSVs to combine")
-    p.add_argument("--top-fraction", type=_top_fraction, default=0.01)
+    p.add_argument("--top-fraction", type=_top_fraction, default=metrics.TOP_FRACTION)
     p.add_argument("--bins", type=_bin_count, default=32)
 
     p = _subcommand(sub, "grad-check", cmd_grad_check,
@@ -443,8 +443,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ManifestError, TensorFormatError, metrics.UndefinedMetricError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except net.NumericalError as exc:

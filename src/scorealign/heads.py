@@ -8,9 +8,9 @@ statistics.
 
 Every head trains with one recipe: GELU activations, SGD at LR with
 MOMENTUM and WEIGHT_DECAY, and (regressor) smooth-L1 at threshold ALPHA.
-Regression targets are each image's own (mean, max) or (mean, std) pixel
-scores; targets are z-normalized per training run so ALPHA is independent
-of the base scorer's scale. Input features are standardized per channel
+Regression targets are each image's own `align.map_pair` under the head's
+variant, z-normalized per training run so ALPHA is independent of the base
+scorer's scale. Input features are standardized per channel
 over the training set for the same reason (LR must not depend on the
 feature scale), never in place: each batch of the raw [N, C, H, W] stack
 is copied into one reused float64 buffer and standardized there, and
@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import net
-from .align import VARIANTS, meanstd_gamma
+from .align import VARIANTS, map_pair, variant_scale
 from .tensorio import check_fields, columns, read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
@@ -129,9 +129,7 @@ def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Netw
 @dataclass
 class HeadModel:
     config: HeadConfig
-    in_channels: int
     network: net.Network
-    seed: int
     # affine de-normalization applied to regressor outputs (identity for classifier)
     target_offset: np.ndarray = None
     target_scale: np.ndarray = None
@@ -179,9 +177,8 @@ def _fit(
     network = build_head(head_cfg, x.shape[1], out_dim, rng)
     optim = net.SGD(LR, MOMENTUM, WEIGHT_DECAY)
 
-    model = HeadModel(config=head_cfg, in_channels=x.shape[1], network=network,
-                      seed=train_cfg.seed, input_offset=in_offset, input_scale=in_scale,
-                      **model_fields)
+    model = HeadModel(config=head_cfg, network=network, input_offset=in_offset,
+                      input_scale=in_scale, **model_fields)
     params = network.parameters()
     iterations = train_cfg.iterations
     tail_start = iterations - int(AVG_FRAC * iterations)
@@ -222,15 +219,12 @@ def train_regressor(
     row for row. Each batch is standardized by norm = (offset, scale)
     (`standardize`), fitted over all of x if None; x is not modified.
 
-    Targets are (u_img, gamma_img) for the meanmax variant or
-    (u_img, sigma_img) for the meanstd variant; dropout is active
-    throughout training as the pseudo-anomaly noise source.
+    Targets are each map's `map_pair` under head_cfg.target; dropout is
+    active throughout training as the pseudo-anomaly noise source.
     """
     if not len(x) or len(score_maps) != len(x):
         raise ValueError(f"{len(score_maps)} score maps for {len(x)} training images")
-    spread = np.max if head_cfg.target == "meanmax" else np.std
-    flat_maps = (np.asarray(m, dtype=np.float64).ravel() for m in score_maps)
-    targets = np.array([(np.mean(v), spread(v)) for v in flat_maps])
+    targets = np.array([map_pair(m, head_cfg.target) for m in score_maps])
     t_offset = targets.mean(axis=0)
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale
@@ -291,18 +285,13 @@ def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.nd
 
 
 def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]:
-    """The regressor's (u, gamma) for one image.
-
-    A meanstd head predicts (u, sigma); a negative sigma is clamped to 0
-    before gamma = u + 3*sigma. Deterministic: dropout is identity in eval mode.
+    """The regressor's (u, gamma) for one image: the `variant_scale` of the
+    pair it predicts. Deterministic: dropout is identity in eval mode.
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
     out = _forward(model, [features])[0] * model.target_scale + model.target_offset
-    u_hat, second = float(out[0]), float(out[1])
-    if model.config.target == "meanmax":
-        return u_hat, second
-    return u_hat, meanstd_gamma(u_hat, max(second, 0.0))
+    return variant_scale(model.config.target, float(out[0]), float(out[1]))
 
 
 def predict_class(model: HeadModel, features: np.ndarray) -> int:
@@ -325,8 +314,6 @@ class CheckpointHeader:
     the same name is read back from it."""
 
     config: HeadConfig
-    in_channels: int
-    seed: int
     target_offset: list[float]
     target_scale: list[float]
     input_offset: list[float]
@@ -349,16 +336,17 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
 
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
-    """The HeadModel save_checkpoint wrote. A head.json that is no
-    CheckpointHeader, or whose sizes do not fit the head its config builds, is
-    a ValueError naming the file and the key."""
+    """The HeadModel save_checkpoint wrote; its input channels are the entries
+    of input_offset. A head.json that is no CheckpointHeader, or whose sizes do
+    not fit the head its config builds, is a ValueError naming the file and
+    the key."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "head.json"
     header = read_json(path)
     check_fields(path, header, CheckpointHeader)
-    in_channels, class_labels = header["in_channels"], header["class_labels"]
+    in_channels, class_labels = len(header["input_offset"]), header["class_labels"]
     if in_channels < 1:
-        raise ValueError(f"{path}: in_channels must be >= 1, got {in_channels}")
+        raise ValueError(f"{path}: input_offset must be a non-empty list of numbers, got []")
     if class_labels is not None and len(class_labels) < 2:
         raise ValueError(f"{path}: class_labels must be null or a list of at least 2 integers, "
                          f"got {json.dumps(class_labels)}")

@@ -22,6 +22,9 @@ import numpy as np
 from .tensorio import DatasetManifest
 
 
+TOP_FRACTION = 0.01  # the default share of a map's highest pixels its image score averages
+
+
 class UndefinedMetricError(ValueError):
     """The metric is undefined for this input (e.g. a single-class sample set)."""
 
@@ -85,7 +88,7 @@ def average_precision(scores, labels) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def image_score(values: np.ndarray, top_fraction=0.01) -> float:
+def image_score(values: np.ndarray, top_fraction) -> float:
     """Mean of the ceil(top_fraction * count) largest pixel scores.
 
     `top_fraction="max"` returns the single maximum pixel score.
@@ -158,7 +161,7 @@ def evaluate(
     manifest: DatasetManifest,
     score_maps: Mapping[str, np.ndarray],
     masks: Optional[Mapping[str, np.ndarray]] = None,
-    top_fraction=0.01,
+    top_fraction=TOP_FRACTION,
 ) -> list[MetricsReport]:
     """Score the test split: one mixed report, plus per-class reports and
     their macro average when the manifest carries class ids.

@@ -206,9 +206,7 @@ class Network:
         """Backpropagate `grad_out` (d loss / d last forward output) into every
         parameter's grad. Returns nothing: the deepest layer with parameters
         runs `param_backward`, since nothing reads the input gradient below it."""
-        deepest = next((i for i, layer in enumerate(self.layers) if layer.params()), None)
-        if deepest is None:
-            return
+        deepest = next(i for i, layer in enumerate(self.layers) if layer.params())
         for layer in reversed(self.layers[deepest + 1 :]):
             grad_out = layer.backward(grad_out)
         self.layers[deepest].param_backward(grad_out)

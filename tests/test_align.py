@@ -1,16 +1,19 @@
+import ast
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scorealign
 from scorealign.align import (
+    VARIANTS,
     ClassStats,
     DegenerateScaleWarning,
     align_maps,
     class_scales,
     fit_class_stats,
-    meanstd_gamma,
     normalize_meanmax,
     read_stats_csv,
     scale_by_class,
@@ -93,10 +96,6 @@ class TestNormalize:
             b = normalize_meanmax(values, u, u + 3.0 * sigma)
             assert a.tobytes() == b.tobytes()
 
-    def test_meanstd_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            meanstd_gamma(0.0, -1.0)
-
 
 def _fitted_training_set(rng, class_id, loc, scale, n=30):
     return {f"c{class_id}_{i}": rng.normal(loc, scale, size=(8, 8)) for i in range(n)}
@@ -173,10 +172,6 @@ class TestOracleAlignment:
         with pytest.raises(ValueError, match="variant"):
             class_scales([], variant="zscore")
 
-    def test_meanstd_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            class_scales([ClassStats(0, 0.0, 1.0, -0.3, 1, 2)], variant="meanstd")
-
     def test_variants_differ_but_agree_on_composite(self):
         rng = np.random.default_rng(29)
         maps = {0: _fitted_training_set(rng, 0, loc=3.0, scale=1.0, n=10)}
@@ -203,8 +198,32 @@ class TestStatsCsv:
         back = read_stats_csv(path)
         assert back == stats  # repr round-trip keeps floats exact
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_negative_sigma_rejected(self, tmp_path, variant):
+        """A negative sigma is rejected as the file is read, whether or not
+        the variant uses sigma."""
+        path = tmp_path / "stats.csv"
+        write_csv(path, columns(ClassStats), [astuple(ClassStats(0, 0.0, 1.0, -0.3, 1, 2))])
+        with pytest.raises(ValueError, match=r"stats\.csv:2: sigma must be >= 0, got -0\.3"):
+            class_scales(read_stats_csv(path), variant)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "stats.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
             read_stats_csv(path)
+
+
+def test_only_align_tells_the_variants_apart():
+    """No module but align compares anything with a variant name, so one
+    module owns what meanmax and meanstd mean."""
+    offenders = []
+    for path in sorted(Path(scorealign.__file__).parent.glob("*.py")):
+        if path.name == "align.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Constant) and sub.value in VARIANTS
+                    for sub in ast.walk(node)):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []

@@ -5,14 +5,14 @@ import operator
 import shutil
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from scorealign import cli, synth
+from scorealign import cli, metrics, synth
 from scorealign.align import VARIANTS, normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
@@ -23,7 +23,7 @@ from scorealign.heads import (
     predict_class,
     predict_stats,
 )
-from scorealign.tensorio import read_manifest, read_tensor, write_tensor
+from scorealign.tensorio import csv_row, read_manifest, read_tensor, write_tensor
 
 GEN_ARGS = ["--k-classes", "3", "--grid-h", "8", "--grid-w", "8",
             "--feat-dim", "4", "--train-normal", "12", "--test-normal", "6",
@@ -55,8 +55,8 @@ def pipeline(tmp_path_factory):
 
 
 # the keys save_checkpoint writes to head.json, in file order
-HEAD_JSON_KEYS = ["config", "in_channels", "seed", "target_offset", "target_scale", "input_offset",
-                  "input_scale", "loss_trace", "holdout_accuracy", "class_labels"]
+HEAD_JSON_KEYS = ["config", "target_offset", "target_scale", "input_offset", "input_scale",
+                  "loss_trace", "holdout_accuracy", "class_labels"]
 
 
 def _manifest_copy(pipeline, data, edit=None):
@@ -158,6 +158,33 @@ class TestPipeline:
         assert main(["eval", "--data", str(pipeline / "data"),
                      "--maps", str(pipeline / "maps"), "--out", str(csv),
                      "--top-fraction", "max"]) == 0
+
+    def test_eval_numeric_top_fraction(self, pipeline, tmp_path):
+        """A number is the fraction evaluate aggregates each map's top pixels by."""
+        csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--out", str(csv), "--top-fraction", "0.02"]) == 0
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        test = man.split("test")
+        maps = {e.image_id: read_tensor(pipeline / "maps" / f"{e.image_id}.adt") for e in test}
+        masks = {e.image_id: read_tensor(man.resolve(e.mask_path))
+                 for e in test if e.mask_path is not None}
+
+        def rows(top_fraction):
+            reports = metrics.evaluate(man, maps, masks, top_fraction=top_fraction)
+            return [csv_row(astuple(r)) for r in reports]
+
+        assert csv.read_text().splitlines()[1:] == rows(0.02)
+        # 2 of an 8x8 map's 64 pixels, where the default averages 1
+        assert rows(0.02) != rows(metrics.TOP_FRACTION)
+
+    def test_report_bin_count(self, pipeline, tmp_path):
+        out = tmp_path / "report"
+        assert main(["report", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--out", str(out), "--bins", "5"]) == 0
+        hist = [row.split(",") for row in (out / "histograms.csv").read_text().splitlines()[1:]]
+        assert Counter((cid, label) for cid, label, *_ in hist) == {
+            (str(cid), label): 5 for cid in range(3) for label in ("normal", "anomalous")}
 
     def test_meanstd_variant(self, pipeline):
         out = pipeline / "aligned_meanstd"
@@ -391,15 +418,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["fit-base"], ["score", "--coreset", "{root}/coreset"],
-        ["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg",
-         "--split", "train"],
+        ["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
     ], ids=["fit-base", "score", "align-regressor"])
     def test_missing_feature_file_is_data_error(self, pipeline, tmp_path, capsys, argv):
+        """The first image of each split points at a missing file."""
         doc = json.loads((pipeline / "data" / "manifest.json").read_text())
+        missing, firsts = tmp_path / "gone.adt", set()
         for rec in doc["images"]:
-            rec["feature_path"] = str(pipeline / "data" / rec["feature_path"])
-        missing = tmp_path / "gone.adt"
-        doc["images"][0]["feature_path"] = str(missing)
+            first = rec["split"] not in firsts
+            firsts.add(rec["split"])
+            rec["feature_path"] = str(missing if first
+                                      else pipeline / "data" / rec["feature_path"])
         data = tmp_path / "data"
         data.mkdir()
         (data / "manifest.json").write_text(json.dumps(doc))
@@ -520,20 +549,17 @@ class TestExitCodes:
         assert not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("edit,named", [
-        (lambda header: {**header, "in_channels": "4"},
-         'head.json: in_channels must be an integer, got "4"'),
         (lambda header: [header], "head.json: expected a JSON object of CheckpointHeader fields"),
         (lambda header: {**header, "target_offset": ["a", "b"]},
          'head.json: target_offset[0] must be a number, got "a"'),
-        # one offset would broadcast over all 4 channels
+        # one offset would make a 1-channel head, which the 4-channel scale does not fit
         (lambda header: {**header, "input_offset": [0.0]},
-         "head.json: input_offset must be a list of 4 numbers, got [0.0]"),
-        (lambda header: {**header, "in_channels": 0}, "head.json: in_channels must be >= 1, got 0"),
+         "head.json: input_scale must be a list of 1 numbers, got ["),
+        (lambda header: {**header, "input_offset": []},
+         "head.json: input_offset must be a non-empty list of numbers, got []"),
         (lambda header: {**header, "class_labels": 5}, "head.json: class_labels must be a list, got 5"),
         (lambda header: {**header, "class_labels": [3]},
          "head.json: class_labels must be null or a list of at least 2 integers, got [3]"),
-        (lambda header: {k: v for k, v in header.items() if k != "seed"},
-         "head.json: seed is missing"),
         (lambda header: {**header, "config": {**header["config"], "hidden_dim": 8}},
          "head.json: param 0 has shape (16, 4), not (8, 4)"),
         (lambda header: {**header, "loss_trace": 5}, "head.json: loss_trace must be a list, got 5"),
@@ -545,10 +571,12 @@ class TestExitCodes:
         (lambda header: {**header, "n_params": 4,
                          "param_shapes": [[16, 4], [16], [2, 16], [2]]},
          "head.json: unknown CheckpointHeader keys ['n_params', 'param_shapes']"),
-    ], ids=["in-channels-str", "json-list", "target-offset-str", "input-offset-short",
-            "in-channels-0", "class-labels-int", "class-labels-one",
-            "seed-missing", "param-shape", "loss-trace-int",
-            "loss-trace-str-entry", "holdout-str", "old-param-keys"])
+        # the channel count and seed a checkpoint written before they were dropped carries
+        (lambda header: {**header, "in_channels": 4, "seed": 0},
+         "head.json: unknown CheckpointHeader keys ['in_channels', 'seed']"),
+    ], ids=["json-list", "target-offset-str", "input-offset-short", "input-offset-empty",
+            "class-labels-int", "class-labels-one", "param-shape", "loss-trace-int",
+            "loss-trace-str-entry", "holdout-str", "old-param-keys", "old-channel-seed-keys"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -673,7 +701,9 @@ class TestExitCodes:
         (5, lambda table: table.append(table[1]), "repeated class_id 0"),
         (3, lambda table: table[2].pop(), "5 cells"),
         (3, lambda table: operator.setitem(table[2], 1, "nan"), "non-finite"),
-    ], ids=["repeated-class", "five-cells", "nan-cell"])
+        # align's default variant, meanmax, reads no sigma; the file is still rejected
+        (2, lambda table: operator.setitem(table[1], 3, "-0.5"), "sigma must be >= 0, got -0.5"),
+    ], ids=["repeated-class", "five-cells", "nan-cell", "negative-sigma"])
     def test_malformed_stats_csv_is_data_error_naming_line(
             self, pipeline, tmp_path, capsys, line, edit, named):
         table = [r.split(",") for r in (pipeline / "stats.csv").read_text().splitlines()]

@@ -65,7 +65,7 @@ def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None)
     final.w.value[...] = 0.0
     final.b.value[...] = out_vals
     return HeadModel(
-        config=cfg, in_channels=in_channels, network=network, seed=0,
+        config=cfg, network=network,
         target_offset=np.zeros(out_dim), target_scale=np.ones(out_dim),
         input_offset=np.zeros(in_channels), input_scale=np.ones(in_channels),
         class_labels=class_labels,
@@ -124,8 +124,8 @@ class TestStandardize:
 
         # a training batch (one buffer, larger than the batch) and a one-image
         # prediction standardize each image as the reference does
-        model = HeadModel(config=HeadConfig(), in_channels=shape[1], network=_Echo(), seed=0,
-                          input_offset=offset, input_scale=scale)
+        model = HeadModel(config=HeadConfig(), network=_Echo(), input_offset=offset,
+                          input_scale=scale)
         batch = heads._forward(model, x[rows], np.empty((len(rows) + 1, *shape[1:])))
         for row, got in zip(rows, batch):
             ref = (feats[row].astype(np.float64) - mean[:, None, None]) / std[:, None, None]

@@ -13,8 +13,11 @@ data/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
+import tempfile
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -325,34 +328,91 @@ ABLATION_DROPOUTS = (0.0, 0.25, 0.5, 0.75)
 ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 
+# set to 1 while the ablate workers start, so each trains on one BLAS thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_worker = {}  # in an ablate worker: its three stacks and the training settings
+
+
+def _ablate_worker_init(paths, settings) -> None:
+    """Read the train stack, train maps and test stack cmd_ablate wrote, once per worker."""
+    _worker.update(zip(("x", "maps", "test_x"), map(read_tensor, paths)), **settings)
+
+
+def _ablate_cell(cell) -> list[tuple[float, float]]:
+    """Train the regressor of one grid cell (structure, dropout) with the
+    parent's input norm; return the (u, gamma) it predicts for each test image,
+    in test-stack order."""
+    structure, dropout = cell
+    head_cfg = heads.HeadConfig(structure=structure, hidden_dim=_worker["hidden_dim"],
+                                dropout_rate=dropout)
+    train_cfg = heads.TrainConfig(iterations=_worker["iterations"], seed=_worker["seed"])
+    model = heads.train_regressor(_worker["x"], _worker["maps"], head_cfg, train_cfg,
+                                  _worker["norm"])
+    return [heads.predict_stats(model, f) for f in _worker["test_x"]]
+
+
+def _ablate_results(cells, paths, settings):
+    """Yield _ablate_cell(cell) for each cell in order, computed on spawned
+    workers, one per CPU and at most one per cell, each started with one BLAS
+    thread. A failed cell, or closing the generator, cancels the cells not yet
+    started; the failure is raised once the running cells end."""
+    # imported here: the pool's modules add 0.4-0.5 MiB to every stage's peak RSS
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), len(cells)),
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_ablate_worker_init, initargs=(paths, settings))
+    try:
+        saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            # a spawn pool starts one more worker at each submit until it has them all
+            futures = [pool.submit(_ablate_cell, cell) for cell in cells]
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_ablate(args, manifest) -> str:
     entries, x = _read_stack(manifest, "train")
     norm = heads.standardize(x, range(len(x)))
     maps = _load_maps(manifest, Path(args.maps), "train")
-    train_maps = [maps[e.image_id] for e in entries]
+    train_maps = np.stack([maps[e.image_id] for e in entries])
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     test_entries, test_x = _read_stack(manifest, "test")
-    test_features = dict(zip((e.image_id for e in test_entries), test_x))
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    cells = [(structure, dropout) for structure in heads.STRUCTURES
+             for dropout in ABLATION_DROPOUTS]
+    settings = {"hidden_dim": args.hidden_dim, "iterations": args.iterations,
+                "seed": args.seed, "norm": norm}
     rows = []
-    for structure in heads.STRUCTURES:
-        for dropout in ABLATION_DROPOUTS:
-            head_cfg = heads.HeadConfig(structure=structure, hidden_dim=args.hidden_dim,
-                                        dropout_rate=dropout)
-            train_cfg = heads.TrainConfig(iterations=args.iterations, seed=args.seed)
-            model = heads.train_regressor(x, train_maps, head_cfg, train_cfg, norm)
-            aligned = align_mod.align_maps(
-                test_maps, lambda image_id: heads.predict_stats(model, test_features[image_id]))
-            for tf in ABLATION_TOP_FRACTIONS:
-                cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
-                rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
-                             raw[tf].i_ap, cal.i_ap))
-            print(f"ablate {structure} dropout={dropout}: "
-                  f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
+    # the workers train; this process aligns and evaluates, so its warnings are seen
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{name}.adt" for name in ("x", "maps", "test_x")]
+        for path, stack in zip(paths, (x, train_maps, test_x)):
+            write_tensor(path, stack)
+        with contextlib.closing(_ablate_results(cells, paths, settings)) as results:
+            for (structure, dropout), scales in zip(cells, results):
+                scale_of = dict(zip((e.image_id for e in test_entries), scales))
+                aligned = align_mod.align_maps(test_maps, scale_of.__getitem__)
+                for tf in ABLATION_TOP_FRACTIONS:
+                    cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
+                    rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
+                                 raw[tf].i_ap, cal.i_ap))
+                print(f"ablate {structure} dropout={dropout}: "
+                      f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
     return f"ablation grid ({len(rows)} rows) -> {out}"

@@ -1,7 +1,9 @@
 import ast
 import filecmp
 import json
+import multiprocessing
 import operator
+import os
 import shutil
 import tracemalloc
 from collections import Counter
@@ -13,7 +15,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scorealign import cli, metrics, synth
-from scorealign.align import VARIANTS, normalize_meanmax, read_stats_csv
+from scorealign.align import VARIANTS, align_maps, normalize_meanmax, read_stats_csv
 from scorealign.cli import build_parser, main
 from scorealign.heads import (
     STRUCTURES,
@@ -22,6 +24,8 @@ from scorealign.heads import (
     load_checkpoint,
     predict_class,
     predict_stats,
+    standardize,
+    train_regressor,
 )
 from scorealign.tensorio import csv_row, read_manifest, read_tensor, write_tensor
 
@@ -870,6 +874,65 @@ class TestAblateCommand:
         assert len(lines) == 1 + 5 * 4 * 4  # structures x dropouts x aggregations
         cells = {(r.split(",")[0], r.split(",")[1]) for r in lines[1:]}
         assert len(cells) == 20
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
+    def test_worker_cells_equal_in_process_training(self, pipeline, tmp_path):
+        """A cell trained on a worker gives the CSV rows of the same training
+        in this process, whatever the worker count."""
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(out),
+                     "--hidden-dim", "8", "--iterations", "2"]) == 0
+        lines = out.read_text().strip().split("\n")[1:]
+
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        maps = {e.image_id: read_tensor(pipeline / "maps" / f"{e.image_id}.adt")
+                for e in man.images}
+        entries, x = cli._read_stack(man, "train")
+        test_entries, test_x = cli._read_stack(man, "test")
+        features = dict(zip((e.image_id for e in test_entries), test_x))
+        test_maps = {e.image_id: maps[e.image_id] for e in man.split("test")}
+        expected = []
+        for structure, dropout in [("2lin", 0.0), ("1conv+2lin", 0.25)]:
+            model = train_regressor(x, [maps[e.image_id] for e in entries],
+                                    HeadConfig(structure=structure, hidden_dim=8,
+                                               dropout_rate=dropout),
+                                    TrainConfig(iterations=2), standardize(x, range(len(x))))
+            aligned = align_maps(test_maps, lambda i: predict_stats(model, features[i]))
+            for tf in cli.ABLATION_TOP_FRACTIONS:
+                raw = metrics.evaluate(man, test_maps, top_fraction=tf)[0]
+                cal = metrics.evaluate(man, aligned, top_fraction=tf)[0]
+                expected.append(csv_row((structure, dropout, tf, raw.i_auroc, cal.i_auroc,
+                                         raw.i_ap, cal.i_ap)))
+        assert [line for line in lines
+                if line.startswith(("2lin,0.0,", "1conv+2lin,0.25,"))] == expected
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["--iterations", "0"], "iterations must be >= 1, got 0"),
+    ], ids=["hidden-dim", "iterations"])
+    def test_failed_cell_is_data_error_leaving_no_csv_or_worker(
+            self, pipeline, tmp_path, capsys, flags, message):
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
+    @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])
+    def test_blas_thread_variables_are_restored(self, pipeline, tmp_path, monkeypatch, preset):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if preset is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        before = {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+        assert main(["ablate", "--data", str(pipeline / "data"),
+                     "--maps", str(pipeline / "maps"), "--out", str(tmp_path / "ablation.csv"),
+                     "--hidden-dim", "2", "--iterations", "1"]) == 0
+        assert {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS} == before
 
 
 class TestTrainStack:

@@ -17,7 +17,6 @@ import contextlib
 import math
 import os
 import sys
-import tempfile
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -85,8 +84,9 @@ def _read_stack(manifest: DatasetManifest, split: str) -> tuple[list[ImageEntry]
 
 
 def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[str, np.ndarray]:
+    """The split's score maps by image id, in manifest order; an empty split is a ManifestError."""
     out = {}
-    for e in manifest.split(split):
+    for e in _split(manifest, split):
         path = maps_dir / f"{e.image_id}.adt"
         if not path.is_file():
             raise ManifestError(f"{e.image_id}: missing score map {path}")
@@ -164,9 +164,9 @@ SCORE_CHUNK_ROWS = 16384
 
 def cmd_score(args, manifest) -> str:
     tree = synth.load_coreset(args.coreset)
-    splits = ("train", "test") if args.split == "all" else (args.split,)
-    todo = [(e.image_id, _feature_path(manifest, e))
-            for split in splits for e in manifest.split(split)]
+    entries = (manifest.split("train") + manifest.split("test") if args.split == "all"
+               else _split(manifest, args.split))
+    todo = [(e.image_id, _feature_path(manifest, e)) for e in entries]
     # every map is computed before --out is made, so a failed score leaves none
     maps, ids, feats, rows = {}, [], [], 0
     for n, (image_id, path) in enumerate(todo, 1):
@@ -330,28 +330,36 @@ ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 # set to 1 while the ablate workers start, so each trains on one BLAS thread
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_worker = {}  # in an ablate worker: its three stacks and the training settings
+_worker = {}  # in an ablate worker: its inputs' locations and training settings, then the inputs
 
 
-def _ablate_worker_init(paths, settings) -> None:
-    """Read the train stack, train maps and test stack cmd_ablate wrote, once per worker."""
-    _worker.update(zip(("x", "maps", "test_x"), map(read_tensor, paths)), **settings)
+def _ablate_worker_init(manifest, maps_dir, settings) -> None:
+    """Store where the inputs are and the training settings; the first cell reads the inputs."""
+    _worker.update(manifest=manifest, maps_dir=maps_dir, **settings)
 
 
-def _ablate_cell(cell) -> list[tuple[float, float]]:
-    """Train the regressor of one grid cell (structure, dropout) with the
-    parent's input norm; return the (u, gamma) it predicts for each test image,
-    in test-stack order."""
+def _ablate_cell(cell) -> dict[str, tuple[float, float]]:
+    """Train the regressor of one grid cell (structure, dropout) with the train
+    split's input norm; return its (u, gamma) by test image id. A worker's first
+    cell reads both splits and the train maps, so a data error fails that cell."""
+    if "x" not in _worker:
+        manifest = _worker["manifest"]
+        entries, x = _read_stack(manifest, "train")
+        maps = _load_maps(manifest, _worker["maps_dir"], "train")
+        _worker.update(x=x, maps=[maps[e.image_id] for e in entries],
+                       test=_read_stack(manifest, "test"),
+                       norm=heads.standardize(x, range(len(x))))
     structure, dropout = cell
     head_cfg = heads.HeadConfig(structure=structure, hidden_dim=_worker["hidden_dim"],
                                 dropout_rate=dropout)
     train_cfg = heads.TrainConfig(iterations=_worker["iterations"], seed=_worker["seed"])
     model = heads.train_regressor(_worker["x"], _worker["maps"], head_cfg, train_cfg,
                                   _worker["norm"])
-    return [heads.predict_stats(model, f) for f in _worker["test_x"]]
+    test_entries, test_x = _worker["test"]
+    return {e.image_id: heads.predict_stats(model, f) for e, f in zip(test_entries, test_x)}
 
 
-def _ablate_results(cells, paths, settings):
+def _ablate_results(cells, manifest, maps_dir, settings):
     """Yield _ablate_cell(cell) for each cell in order, computed on spawned
     workers, one per CPU and at most one per cell, each started with one BLAS
     thread. A failed cell, or closing the generator, cancels the cells not yet
@@ -362,7 +370,8 @@ def _ablate_results(cells, paths, settings):
 
     pool = ProcessPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), len(cells)),
                                mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_ablate_worker_init, initargs=(paths, settings))
+                               initializer=_ablate_worker_init,
+                               initargs=(manifest, maps_dir, settings))
     try:
         saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
@@ -382,12 +391,7 @@ def _ablate_results(cells, paths, settings):
 
 
 def cmd_ablate(args, manifest) -> str:
-    entries, x = _read_stack(manifest, "train")
-    norm = heads.standardize(x, range(len(x)))
-    maps = _load_maps(manifest, Path(args.maps), "train")
-    train_maps = np.stack([maps[e.image_id] for e in entries])
     test_maps = _load_maps(manifest, Path(args.maps), "test")
-    test_entries, test_x = _read_stack(manifest, "test")
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
 
@@ -395,24 +399,19 @@ def cmd_ablate(args, manifest) -> str:
     out.parent.mkdir(parents=True, exist_ok=True)
     cells = [(structure, dropout) for structure in heads.STRUCTURES
              for dropout in ABLATION_DROPOUTS]
-    settings = {"hidden_dim": args.hidden_dim, "iterations": args.iterations,
-                "seed": args.seed, "norm": norm}
+    settings = {"hidden_dim": args.hidden_dim, "iterations": args.iterations, "seed": args.seed}
     rows = []
-    # the workers train; this process aligns and evaluates, so its warnings are seen
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / f"{name}.adt" for name in ("x", "maps", "test_x")]
-        for path, stack in zip(paths, (x, train_maps, test_x)):
-            write_tensor(path, stack)
-        with contextlib.closing(_ablate_results(cells, paths, settings)) as results:
-            for (structure, dropout), scales in zip(cells, results):
-                scale_of = dict(zip((e.image_id for e in test_entries), scales))
-                aligned = align_mod.align_maps(test_maps, scale_of.__getitem__)
-                for tf in ABLATION_TOP_FRACTIONS:
-                    cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
-                    rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
-                                 raw[tf].i_ap, cal.i_ap))
-                print(f"ablate {structure} dropout={dropout}: "
-                      f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
+    # workers read and train; this process aligns and evaluates, so its warnings are seen
+    with contextlib.closing(_ablate_results(cells, manifest, Path(args.maps),
+                                            settings)) as results:
+        for (structure, dropout), scales in zip(cells, results):
+            aligned = align_mod.align_maps(test_maps, scales.__getitem__)
+            for tf in ABLATION_TOP_FRACTIONS:
+                cal = metrics.evaluate(manifest, aligned, top_fraction=tf)[0]
+                rows.append((structure, dropout, tf, raw[tf].i_auroc, cal.i_auroc,
+                             raw[tf].i_ap, cal.i_ap))
+            print(f"ablate {structure} dropout={dropout}: "
+                  f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
     return f"ablation grid ({len(rows)} rows) -> {out}"

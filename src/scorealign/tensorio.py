@@ -50,7 +50,8 @@ def write_tensor(path, arr: np.ndarray) -> None:
         raise TensorFormatError("tensor contains non-finite elements")
     code = _CODE_BY_DTYPE[arr.dtype]
     header = MAGIC + bytes([code, arr.ndim]) + struct.pack("<%dI" % arr.ndim, *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code]).tobytes()
+    # written from the (contiguous little-endian) array's own buffer, not a bytes copy
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code])
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)

@@ -63,6 +63,17 @@ HEAD_JSON_KEYS = ["config", "target_offset", "target_scale", "input_offset", "in
                   "loss_trace", "holdout_accuracy", "class_labels"]
 
 
+def _count_reads(monkeypatch) -> Counter:
+    """Count cli's read_tensor calls by path, in a Counter that fills as they happen."""
+    reads = Counter()
+
+    def counted(path):
+        reads[Path(path)] += 1
+        return read_tensor(path)
+    monkeypatch.setattr(cli, "read_tensor", counted)
+    return reads
+
+
 def _manifest_copy(pipeline, data, edit=None):
     """Write pipeline's manifest into the directory `data` with absolute file
     paths, after edit(doc) if given; return the path of the copy."""
@@ -471,8 +482,16 @@ class TestExitCodes:
         (["stats", "--maps", "{root}/maps"], "train"),
         (["fit-base"], "train"),
         (["train-head", "--mode", "classifier"], "train"),
+        (["score", "--coreset", "{root}/coreset", "--split", "train"], "train"),
+        (["score", "--coreset", "{root}/coreset", "--split", "test"], "test"),
+        (["align", "--mode", "oracle", "--maps", "{root}/maps", "--stats", "{root}/stats.csv"],
+         "test"),
+        (["eval", "--maps", "{root}/maps"], "test"),
+        (["report", "--maps", "{root}/maps"], "test"),
+        (["ablate", "--maps", "{root}/maps", "--iterations", "1"], "train"),
         (["ablate", "--maps", "{root}/maps"], "test"),
-    ], ids=["stats", "fit-base", "train-head", "ablate-test"])
+    ], ids=["stats", "fit-base", "train-head", "score-train", "score-test", "align", "eval",
+            "report", "ablate-train", "ablate-test"])
     def test_empty_split_is_data_error_naming_it(
             self, pipeline, tmp_path, capsys, argv, split):
         def edit(doc):
@@ -483,6 +502,7 @@ class TestExitCodes:
                     + ["--data", str(manifest.parent), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: no {split} images in the manifest\n"
         assert not out.exists()
+        assert not multiprocessing.active_children()
 
     def test_key_error_in_a_stage_is_no_data_error(self, pipeline, tmp_path, monkeypatch):
         """A KeyError is a bug, not bad input: main lets it propagate."""
@@ -936,9 +956,9 @@ class TestAblateCommand:
 
 
 class TestTrainStack:
-    """fit-base, train-head and ablate read each split they need once, straight
-    into one stack in the feature files' dtype (float32); align reads each
-    image's features once."""
+    """fit-base, train-head and each ablate worker read each split they need
+    once, straight into one stack in the feature files' dtype (float32); align
+    reads each image's features once, and the ablate parent none."""
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
     @pytest.mark.parametrize("argv,split", [
@@ -947,27 +967,66 @@ class TestTrainStack:
         (["train-head", "--mode", "classifier", "--structure", "2lin", "--hidden-dim", "4",
           "--iterations", "2"], "train"),
         (["fit-base", "--m-per-image", "8"], "train"),
-        (["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"], "train"),
-        (["ablate", "--maps", "{root}/maps", "--hidden-dim", "2", "--iterations", "1"], "test"),
         (["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
          "test"),
         (["align", "--mode", "classifier", "--maps", "{root}/maps", "--model", "{root}/clf",
           "--stats", "{root}/stats.csv"], "test"),
-    ], ids=["regressor", "classifier", "fit-base", "ablate", "ablate-test", "align-regressor",
-            "align-classifier"])
+    ], ids=["regressor", "classifier", "fit-base", "align-regressor", "align-classifier"])
     def test_each_train_feature_file_is_read_once(
             self, pipeline, tmp_path, monkeypatch, argv, split):
-        reads = Counter()
-
-        def counted(path):
-            reads[Path(path)] += 1
-            return read_tensor(path)
-        monkeypatch.setattr(cli, "read_tensor", counted)
+        reads = _count_reads(monkeypatch)
         assert main([a.format(root=pipeline) for a in argv]
                     + ["--data", str(pipeline / "data"), "--out", str(tmp_path / "out")]) == 0
         man = read_manifest(pipeline / "data" / "manifest.json")
         feats = {man.resolve(e.feature_path) for e in man.split(split)}
         assert {path: n for path, n in reads.items() if path in feats} == dict.fromkeys(feats, 1)
+
+    @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
+    def test_ablate_parent_reads_no_feature_file(self, pipeline, tmp_path, monkeypatch):
+        reads = _count_reads(monkeypatch)
+        assert main(["ablate", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--out", str(tmp_path / "out"), "--hidden-dim", "2",
+                     "--iterations", "1"]) == 0
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        assert not reads.keys() & {man.resolve(e.feature_path) for e in man.images}
+
+    def test_ablate_worker_reads_each_feature_file_once(self, pipeline, monkeypatch):
+        """A worker's first cell reads both splits; its later cells read nothing."""
+        reads = _count_reads(monkeypatch)
+        monkeypatch.setattr(cli, "_worker", {})  # restored when the test ends
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        cli._ablate_worker_init(man, pipeline / "maps",
+                                {"hidden_dim": 2, "iterations": 1, "seed": 0})
+        for cell in [("2lin", 0.0), ("3lin", 0.5)]:
+            scales = cli._ablate_cell(cell)
+            assert list(scales) == sorted(e.image_id for e in man.split("test"))
+        feats = {man.resolve(e.feature_path) for e in man.images}
+        assert {path: n for path, n in reads.items() if path in feats} == dict.fromkeys(feats, 1)
+
+    @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
+    def test_ablate_parent_never_holds_a_split(self, tmp_path):
+        data, maps = str(tmp_path / "data"), str(tmp_path / "maps")
+        assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
+                     "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
+                     "--test-anomalous", "1"]) == 0
+        assert main(["fit-base", "--data", data, "--out", str(tmp_path / "coreset")]) == 0
+        assert main(["score", "--data", data, "--coreset", str(tmp_path / "coreset"),
+                     "--out", maps]) == 0
+        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float32).itemsize
+        # the pool's modules, imported by the first pool a process starts, are no data
+        import concurrent.futures.process  # noqa: F401
+        import multiprocessing.popen_spawn_posix  # noqa: F401
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["ablate", "--data", data, "--maps", maps,
+                         "--out", str(tmp_path / "ablation.csv"), "--hidden-dim", "2",
+                         "--iterations", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # ~0.25x: the manifest, the test maps and the pool; the stack alone would be 1x
+        assert peak < 0.5 * stack_bytes
 
     @pytest.mark.parametrize("change,named", [
         (lambda f: f.astype(np.float64), "features float64 (4, 8, 8), not float32 (4, 8, 8)"),
@@ -976,8 +1035,9 @@ class TestTrainStack:
     @pytest.mark.parametrize("argv,split", [
         (["train-head", "--mode", "classifier", "--iterations", "1"], "train"),
         (["fit-base"], "train"),
+        (["ablate", "--maps", "{root}/maps", "--iterations", "1"], "train"),
         (["ablate", "--maps", "{root}/maps", "--iterations", "1"], "test"),
-    ], ids=["train-head", "fit-base", "ablate-test"])
+    ], ids=["train-head", "fit-base", "ablate", "ablate-test"])
     def test_mixed_feature_dtypes_are_data_error(
             self, pipeline, tmp_path, capsys, argv, split, change, named):
         """A file of another dtype or shape than the split's first is rejected, not cast."""
@@ -995,6 +1055,7 @@ class TestTrainStack:
                     + ["--data", str(tmp_path / "data"), "--out", str(out)]) == 2
         assert f"error: {last.image_id}: {named}" in capsys.readouterr().err
         assert not out.exists()
+        assert not multiprocessing.active_children()
 
     def test_train_head_peak_memory_is_the_stack(self, tmp_path):
         data = str(tmp_path / "data")

@@ -215,11 +215,10 @@ def cmd_train_head(args, manifest) -> str:
         model = heads.train_classifier(x, class_ids, head_cfg, train_cfg)
     out_dir = Path(args.out)
     heads.save_checkpoint(model, out_dir)
-    final = model.loss_trace[-1] if model.loss_trace else float("nan")
     extra = (f", holdout acc {model.holdout_accuracy:.3f}"
              if model.holdout_accuracy is not None else "")
-    return (f"trained {args.mode} ({args.iterations} iters, final loss {final:.4f}{extra}) "
-            f"-> {out_dir}")
+    return (f"trained {args.mode} ({args.iterations} iters, "
+            f"final loss {model.loss_trace[-1]:.4f}{extra}) -> {out_dir}")
 
 
 # align --mode -> the flags it needs
@@ -296,32 +295,6 @@ def cmd_report(args, manifest) -> str:
         write_csv(out_dir / "metrics_combined.csv", ["source", *columns(metrics.MetricsReport)],
                   combined)
     return f"report -> {out_dir}"
-
-
-def cmd_grad_check(args, manifest) -> str:
-    for flag in ("channels", "grid"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    rng = np.random.default_rng(args.seed)
-    in_channels, h, w = args.channels, args.grid, args.grid
-    worst = 0.0
-    for name in heads.STRUCTURES:
-        cfg = heads.HeadConfig(structure=name, hidden_dim=args.hidden_dim,
-                               dropout_rate=args.dropout)
-        network = heads.build_head(cfg, in_channels, 2, rng)
-        x = rng.normal(size=(1, in_channels, h, w))
-        target = rng.normal(size=(1, 2))
-
-        def loss_fn(out, target=target):
-            loss, grad = net.smooth_l1(out, target, heads.ALPHA)
-            return float(loss.sum()), grad
-
-        err = net.grad_check(network, x, loss_fn, seed=args.seed)
-        worst = max(worst, err)
-        print(f"{name}: max relative error {err:.3e}")
-    if worst > args.tolerance:
-        raise net.NumericalError(f"worst error {worst:.3e} > {args.tolerance:.1e}")
-    return f"all structures within {args.tolerance:.1e}"
 
 
 ABLATION_DROPOUTS = (0.0, 0.25, 0.5, 0.75)
@@ -473,11 +446,6 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", nargs="*", help="metrics CSVs to combine")
     p.add_argument("--top-fraction", type=_top_fraction, default=metrics.TOP_FRACTION)
     p.add_argument("--bins", type=_bin_count, default=32)
-
-    p = _subcommand(sub, "grad-check", cmd_grad_check,
-                    "finite-difference check of every head structure")
-    _add_flags(p, channels=6, grid=6, hidden_dim=16, dropout=head.dropout_rate,
-               tolerance=1e-4, seed=0)
 
     p = _subcommand(sub, "ablate", cmd_ablate, "sweep structure x dropout x aggregation",
                     "data", "maps", "out")

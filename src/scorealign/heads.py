@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 LR, MOMENTUM, WEIGHT_DECAY = 5e-2, 0.9, 1e-4  # the SGD of every head training
@@ -276,8 +278,12 @@ def train_classifier(
 
 def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.ndarray:
     """The network's output for the [n, C, H, W] images, standardized by the
-    model's input norm into buf[:n] (a new float64 array if buf is None)."""
-    x = np.empty(np.shape(images)) if buf is None else buf[:len(images)]
+    model's input norm into buf[:n] (a new float64 array if buf is None).
+    Images of another channel count than the head's are a ValueError."""
+    shape, channels = np.shape(images), len(model.input_offset)
+    if shape[1] != channels:
+        raise ValueError(f"features have {shape[1]} channels, the head takes {channels}")
+    x = np.empty(shape) if buf is None else buf[:len(images)]
     x[...] = images
     x -= model.input_offset[:, None, None]
     x /= model.input_scale[:, None, None]

@@ -172,8 +172,6 @@ def evaluate(
     """
     masks = masks or {}
     entries = manifest.split("test")
-    if not entries:
-        raise UndefinedMetricError("manifest has no test images")
     missing = [e.image_id for e in entries if e.image_id not in score_maps]
     if missing:
         raise ValueError(f"missing score maps for {missing[:5]} (+{max(0, len(missing)-5)} more)")

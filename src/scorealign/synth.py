@@ -73,6 +73,8 @@ class SynthConfig:
             raise ValueError("image counts must be >= 1")
         if self.train_noise < 0:
             raise ValueError("train_noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _sample_rectangle(rng, h, w, lo, hi):
@@ -174,6 +176,8 @@ def fit_coreset(x: np.ndarray, m_per_image: int, seed: int = 0) -> np.ndarray:
     n_loc = h * w
     if not 1 <= m_per_image <= n_loc:
         raise ValueError(f"m_per_image must be in [1, {n_loc}], got {m_per_image}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     chunks = []
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     for feats in x:

@@ -84,7 +84,8 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: payload length {len(raw) - dims_end} does not match "
             f"shape {shape} ({count} x {dtype.itemsize} bytes)"
         )
-    arr = np.frombuffer(raw[dims_end:], dtype=dtype).reshape(shape)
+    # a view of the bytes read: slicing them first would copy the payload
+    arr = np.frombuffer(raw, dtype=dtype, offset=dims_end).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise TensorFormatError(f"{path}: non-finite element in payload")
     # native byte order, writable copy

@@ -20,10 +20,13 @@ from scorealign.cli import build_parser, main
 from scorealign.heads import (
     STRUCTURES,
     HeadConfig,
+    HeadModel,
     TrainConfig,
+    build_head,
     load_checkpoint,
     predict_class,
     predict_stats,
+    save_checkpoint,
     standardize,
     train_regressor,
 )
@@ -405,7 +408,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("value,flag", [("0", "iterations"), ("-3", "iterations"),
-                                            ("0", "batch-size"), ("-3", "batch-size")])
+                                            ("0", "batch-size"), ("-3", "batch-size"),
+                                            ("-1", "seed")])
     def test_train_head_nonpositive_train_config_is_data_error(
             self, pipeline, tmp_path, capsys, value, flag):
         out = tmp_path / "reg"
@@ -518,7 +522,9 @@ class TestExitCodes:
         (["--grid-h", "0"], "grid_h"),
         (["--grid-w", "-1"], "grid_w"),
         (["--feat-dim", "0"], "feat_dim"),
-    ], ids=["grid-2x2", "area-between-fractions", "grid-h-0", "grid-w-neg", "feat-dim-0"])
+        (["--seed", "-1"], "seed"),
+    ], ids=["grid-2x2", "area-between-fractions", "grid-h-0", "grid-w-neg", "feat-dim-0",
+            "seed-neg"])
     def test_gen_unusable_config_is_data_error_before_writing(
             self, tmp_path, capsys, flags, field):
         out = tmp_path / "data"
@@ -778,11 +784,24 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
-    @pytest.mark.parametrize("flag", ["--channels", "--grid"])
-    def test_grad_check_nonpositive_size_is_data_error_before_any_check(self, capsys, flag):
-        assert main(["grad-check", "--hidden-dim", "4", flag, "0"]) == 2
-        out, err = capsys.readouterr()
-        assert flag in err and out == ""
+    @pytest.mark.parametrize("mode", ["regressor", "classifier"])
+    def test_align_with_head_of_other_channel_count_is_data_error(
+            self, pipeline, tmp_path, capsys, mode):
+        """An 8-channel head on the fixture's 4-channel features: one message
+        names both counts, and no map is written."""
+        class_labels = [0, 1, 2] if mode == "classifier" else None
+        out_dim = 3 if class_labels else 2
+        cfg = HeadConfig(structure="1conv+2lin", hidden_dim=4)
+        save_checkpoint(HeadModel(cfg, build_head(cfg, 8, out_dim, np.random.default_rng(0)),
+                                  np.zeros(out_dim), np.ones(out_dim), np.zeros(8), np.ones(8),
+                                  class_labels=class_labels), tmp_path / "head")
+        out = tmp_path / "aligned"
+        stats = ["--stats", str(pipeline / "stats.csv")] if class_labels else []
+        assert main(["align", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
+                     "--mode", mode, "--model", str(tmp_path / "head"), *stats,
+                     "--out", str(out)]) == 2
+        assert "features have 4 channels, the head takes 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["fit-base", "--data", str(tmp_path / "void"),
@@ -857,27 +876,10 @@ class TestFlagDefaults:
         checked = _config_defaults_checked(["train-head", "--data", "d", "--out", "o"])
         assert checked == {f.name for f in fields(HeadConfig) + fields(TrainConfig)}
 
-    def test_grad_check_defaults_are_the_config_defaults(self):
-        parsed = build_parser().parse_args(["grad-check"])
-        assert parsed.dropout == HeadConfig.dropout_rate
-        assert type(parsed.dropout) is float
-
     def test_ablate_defaults_are_the_config_defaults(self):
         checked = _config_defaults_checked(["ablate", "--data", "d", "--maps", "m",
                                             "--out", "o"])
         assert checked == {"hidden_dim", "iterations", "seed"}
-
-
-class TestGradCheckCommand:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert main(["grad-check", "--channels", "3", "--grid", "4",
-                     "--hidden-dim", "8"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("max relative error") == 5
-
-    def test_impossible_tolerance_fails_with_numerical_exit(self):
-        assert main(["grad-check", "--channels", "3", "--grid", "4",
-                     "--hidden-dim", "8", "--tolerance", "1e-300"]) == 3
 
 
 class TestAblateCommand:
@@ -1183,6 +1185,16 @@ class TestStageRunner:
                         calls.append((fn.name, name))
         assert sorted(calls) == [("main", "_write_run_config"), ("main", "read_manifest")]
         assert stage_args and all(a == ["args", "manifest"] for a in stage_args.values()), stage_args
+
+    def test_every_subcommand_is_traced_by_the_benchmark(self):
+        """perfbench/tracing.py times each stage it lists in CLI_SUBCOMMANDS;
+        read through ast, so the benchmark's modules are not imported."""
+        tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        (listed,) = [ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["CLI_SUBCOMMANDS"]]
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+        assert sorted(listed) == sorted(subparsers.choices)
 
     def test_every_subcommand_with_out_is_listed(self):
         (subparsers,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]

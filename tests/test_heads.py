@@ -226,8 +226,9 @@ class TestRegressor:
         u_hat, g_hat = predict_stats(model, next(iter(feats.values())))
         assert np.isfinite(u_hat) and np.isfinite(g_hat)
 
-    @pytest.mark.parametrize("field", ["iterations", "batch_size"])
-    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("value,field", [(0, "iterations"), (-3, "iterations"),
+                                            (0, "batch_size"), (-3, "batch_size"),
+                                            (-1, "seed")])
     def test_nonpositive_train_config_rejected(self, field, value):
         rng = np.random.default_rng(102)
         feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
@@ -266,6 +267,20 @@ class TestRegressor:
         model = _const_model([0.0, 1.0], class_labels=[0, 1])
         with pytest.raises(ValueError, match="regressor"):
             predict_stats(model, np.zeros((DIM, *GRID), dtype=np.float32))
+
+    @pytest.mark.parametrize("structure", ["1lin", "1conv+2lin"])
+    def test_channel_mismatch_rejected(self, structure):
+        """Features of fewer or more channels than the head's are one ValueError
+        naming both counts, whatever layer the head starts with; a 1-channel
+        head's input norm would broadcast over more channels."""
+        cfg = HeadConfig(structure=structure, hidden_dim=4)
+        for head_channels, channels in ((2, 1), (2, 4), (1, 4)):
+            network = build_head(cfg, head_channels, 2, np.random.default_rng(0))
+            model = HeadModel(cfg, network, np.zeros(2), np.ones(2), np.zeros(head_channels),
+                              np.ones(head_channels))
+            with pytest.raises(ValueError, match=f"features have {channels} channels, "
+                                                 f"the head takes {head_channels}"):
+                predict_stats(model, np.zeros((channels, *GRID), dtype=np.float32))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="0 score maps for 0 training images"):

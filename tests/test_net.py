@@ -89,11 +89,6 @@ class TestConv3x3:
         dx = conv.backward(dout)
         assert np.allclose(dx, finite_diff_input_grad(conv, x, dout), atol=1e-7)
 
-    def test_channel_mismatch_rejected(self):
-        conv = Conv3x3(2, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="channels"):
-            conv.forward(np.ones((1, 4, 3, 3)))
-
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(n=st.integers(1, 4), c=st.integers(1, 4), o=st.integers(1, 4),
            h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -269,10 +264,6 @@ class TestSmoothL1:
             num = (np.sum(smooth_l1(yp, y, 0.1)[0]) - np.sum(smooth_l1(ym, y, 0.1)[0])) / (2 * eps)
             assert grad[i] == pytest.approx(num, abs=1e-6)
 
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            smooth_l1(np.zeros(2), np.zeros(2), 0.0)
-
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -304,14 +295,6 @@ class TestCrossEntropy:
             lm = logits.copy(); lm[0, i] -= eps
             num = (cross_entropy(lp, [3])[0][0] - cross_entropy(lm, [3])[0][0]) / (2 * eps)
             assert grad[0, i] == pytest.approx(num, abs=1e-6)
-
-    def test_out_of_range_class(self):
-        with pytest.raises(ValueError, match="range"):
-            cross_entropy(np.zeros((1, 3)), [3])
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="2 classes"):
-            cross_entropy(np.zeros((1, 1)), [0])
 
 
 class TestSGD:
@@ -346,12 +329,6 @@ class TestSGD:
         p.grad[...] = np.nan
         with pytest.raises(NumericalError):
             SGD(lr=5e-2, momentum=0.9, weight_decay=1e-4).step([p])
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0, momentum=0.9, weight_decay=1e-4)
-        with pytest.raises(ValueError):
-            SGD(lr=5e-2, momentum=1.0, weight_decay=1e-4)
 
 
 def _scalar_smooth_l1(target):

@@ -151,6 +151,8 @@ class TestCoreset:
             fit_coreset(x, 0)
         with pytest.raises(ValueError):
             fit_coreset(x, 10)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            fit_coreset(x, 1, seed=-1)
 
     def test_score_of_member_is_zero(self):
         rng = np.random.default_rng(2)

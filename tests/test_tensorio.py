@@ -69,6 +69,19 @@ class TestTensorRoundTrip:
         assert peak < arr.nbytes / 2
         assert read_tensor(tmp_path / "t.adt").tobytes() == arr.tobytes()
 
+    def test_read_holds_the_bytes_read_and_the_array(self, tmp_path):
+        arr = np.ones((256, 1024), dtype=np.float32)
+        write_tensor(tmp_path / "t.adt", arr)
+        tracemalloc.start()
+        try:
+            back = read_tensor(tmp_path / "t.adt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes and the returned copy; a sliced payload would be a third copy
+        assert peak <= 2.2 * arr.nbytes
+        assert back.tobytes() == arr.tobytes()
+
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError, match="non-finite"):
             write_tensor(tmp_path / "t.adt", np.array([np.nan]))

@@ -13,7 +13,7 @@ data/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import math
 import os
 import sys
@@ -303,67 +303,33 @@ ABLATION_TOP_FRACTIONS = ("max", 0.001, 0.01, 0.02)
 
 # set to 1 while the ablate workers start, so each trains on one BLAS thread
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_worker = {}  # in an ablate worker: its inputs' locations and training settings, then the inputs
+_worker = {}  # in an ablate worker: the inputs its first cell read
 
 
-def _ablate_worker_init(manifest, maps_dir, settings) -> None:
-    """Store where the inputs are and the training settings; the first cell reads the inputs."""
-    _worker.update(manifest=manifest, maps_dir=maps_dir, **settings)
-
-
-def _ablate_cell(cell) -> dict[str, tuple[float, float]]:
-    """Train the regressor of one grid cell (structure, dropout) with the train
-    split's input norm; return its (u, gamma) by test image id. A worker's first
-    cell reads both splits and the train maps, so a data error fails that cell."""
-    if "x" not in _worker:
-        manifest = _worker["manifest"]
+def _ablate_cell(manifest, maps_dir, settings, cell) -> dict[str, tuple[float, float]]:
+    """Train the regressor of one grid cell (structure, dropout) with settings'
+    hidden_dim, iterations and seed; return its (u, gamma) by test image id. A
+    worker's first cell reads the train split, its maps and the test split, so
+    a data error fails that cell."""
+    if not _worker:
         entries, x = _read_stack(manifest, "train")
-        maps = _load_maps(manifest, _worker["maps_dir"], "train")
+        maps = _load_maps(manifest, maps_dir, "train")
         _worker.update(x=x, maps=[maps[e.image_id] for e in entries],
-                       test=_read_stack(manifest, "test"),
-                       norm=heads.standardize(x, range(len(x))))
+                       test=_read_stack(manifest, "test"))
     structure, dropout = cell
-    head_cfg = heads.HeadConfig(structure=structure, hidden_dim=_worker["hidden_dim"],
+    head_cfg = heads.HeadConfig(structure=structure, hidden_dim=settings["hidden_dim"],
                                 dropout_rate=dropout)
-    train_cfg = heads.TrainConfig(iterations=_worker["iterations"], seed=_worker["seed"])
-    model = heads.train_regressor(_worker["x"], _worker["maps"], head_cfg, train_cfg,
-                                  _worker["norm"])
+    train_cfg = heads.TrainConfig(iterations=settings["iterations"], seed=settings["seed"])
+    model = heads.train_regressor(_worker["x"], _worker["maps"], head_cfg, train_cfg)
     test_entries, test_x = _worker["test"]
     return {e.image_id: heads.predict_stats(model, f) for e, f in zip(test_entries, test_x)}
 
 
-def _ablate_results(cells, manifest, maps_dir, settings):
-    """Yield _ablate_cell(cell) for each cell in order, computed on spawned
-    workers, one per CPU and at most one per cell, each started with one BLAS
-    thread. A failed cell, or closing the generator, cancels the cells not yet
-    started; the failure is raised once the running cells end."""
+def cmd_ablate(args, manifest) -> str:
     # imported here: the pool's modules add 0.4-0.5 MiB to every stage's peak RSS
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), len(cells)),
-                               mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_ablate_worker_init,
-                               initargs=(manifest, maps_dir, settings))
-    try:
-        saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-        try:
-            # a spawn pool starts one more worker at each submit until it has them all
-            futures = [pool.submit(_ablate_cell, cell) for cell in cells]
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def cmd_ablate(args, manifest) -> str:
     test_maps = _load_maps(manifest, Path(args.maps), "test")
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
@@ -373,10 +339,23 @@ def cmd_ablate(args, manifest) -> str:
     cells = [(structure, dropout) for structure in heads.STRUCTURES
              for dropout in ABLATION_DROPOUTS]
     settings = {"hidden_dim": args.hidden_dim, "iterations": args.iterations, "seed": args.seed}
+    # one spawned worker per CPU, at most one per cell; a failed cell cancels
+    # the cells not yet started, and the failure is raised once the running ones end
+    pool = ProcessPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), len(cells)),
+                               mp_context=multiprocessing.get_context("spawn"))
     rows = []
-    # workers read and train; this process aligns and evaluates, so its warnings are seen
-    with contextlib.closing(_ablate_results(cells, manifest, Path(args.maps),
-                                            settings)) as results:
+    try:
+        saved = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            # map submits every cell now, and a spawn pool starts one more worker at each submit
+            results = pool.map(functools.partial(_ablate_cell, manifest, Path(args.maps),
+                                                 settings), cells)
+        finally:
+            for var in BLAS_THREAD_VARS:
+                del os.environ[var]
+            os.environ.update(saved)
+        # workers read and train; this process aligns and evaluates, so its warnings are seen
         for (structure, dropout), scales in zip(cells, results):
             aligned = align_mod.align_maps(test_maps, scales.__getitem__)
             for tf in ABLATION_TOP_FRACTIONS:
@@ -385,6 +364,8 @@ def cmd_ablate(args, manifest) -> str:
                              raw[tf].i_ap, cal.i_ap))
             print(f"ablate {structure} dropout={dropout}: "
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
+    finally:
+        pool.shutdown(cancel_futures=True)
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
     return f"ablation grid ({len(rows)} rows) -> {out}"

@@ -55,6 +55,8 @@ class HeadConfig:
                              f"expected one of {sorted(STRUCTURES)}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.target not in VARIANTS:
             raise ValueError(f"unknown target {self.target!r}")
 
@@ -163,7 +165,6 @@ def standardize(x: np.ndarray, rows: Sequence[int]):
 def _fit(
     x: np.ndarray,
     rows: np.ndarray,
-    norm: Optional[tuple[np.ndarray, np.ndarray]],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
     out_dim: int,
@@ -171,10 +172,10 @@ def _fit(
     **model_fields,
 ) -> HeadModel:
     """The SGD loop both heads share: batches x[rows[idx]] of the raw stack x,
-    standardized by norm (fitted over rows if None) into one reused buffer, batch_loss(output,
-    idx) -> (mean loss, output gradient), clipped steps, the tail average as model."""
+    standardized by the norm fitted over rows into one reused buffer, batch_loss(output, idx)
+    -> (mean loss, output gradient), clipped steps, the tail average as model."""
     train_cfg.validate()
-    in_offset, in_scale = standardize(x, rows) if norm is None else norm
+    in_offset, in_scale = standardize(x, rows)
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed]))
     network = build_head(head_cfg, x.shape[1], out_dim, rng)
     optim = net.SGD(LR, MOMENTUM, WEIGHT_DECAY)
@@ -213,13 +214,12 @@ def train_regressor(
     score_maps: Sequence[np.ndarray],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
-    norm: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> HeadModel:
     """Train the statistics regressor on normal training images.
 
     x is the [N, C, H, W] stack of their raw features, score_maps their maps
-    row for row. Each batch is standardized by norm = (offset, scale)
-    (`standardize`), fitted over all of x if None; x is not modified.
+    row for row. Each batch is standardized by the `standardize` norm of all
+    of x; x is not modified.
 
     Targets are each map's `map_pair` under head_cfg.target; dropout is
     active throughout training as the pseudo-anomaly noise source.
@@ -235,7 +235,7 @@ def train_regressor(
         loss_elems, grad = net.smooth_l1(out, targets_n[idx], ALPHA)
         return float(loss_elems.sum(axis=1).mean()), grad
 
-    return _fit(x, np.arange(len(x)), norm, head_cfg, train_cfg, 2, batch_loss,
+    return _fit(x, np.arange(len(x)), head_cfg, train_cfg, 2, batch_loss,
                 target_offset=t_offset, target_scale=t_scale)
 
 
@@ -267,7 +267,7 @@ def train_classifier(
         return float(loss_elems.mean()), grad
 
     k = len(classes)
-    model = _fit(x, rows, None, head_cfg, train_cfg, k, batch_loss, target_offset=np.zeros(k),
+    model = _fit(x, rows, head_cfg, train_cfg, k, batch_loss, target_offset=np.zeros(k),
                  target_scale=np.ones(k), class_labels=classes.tolist())
     held_rows, size = np.flatnonzero(held), train_cfg.batch_size
     pred = np.concatenate([np.argmax(_forward(model, x[held_rows[i:i + size]]), axis=1)
@@ -280,7 +280,7 @@ def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.nd
     """The network's output for the [n, C, H, W] images, standardized by the
     model's input norm into buf[:n] (a new float64 array if buf is None).
     Images of another channel count than the head's are a ValueError."""
-    shape, channels = np.shape(images), len(model.input_offset)
+    shape, channels = images.shape, len(model.input_offset)
     if shape[1] != channels:
         raise ValueError(f"features have {shape[1]} channels, the head takes {channels}")
     x = np.empty(shape) if buf is None else buf[:len(images)]
@@ -296,7 +296,7 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
-    out = _forward(model, [features])[0] * model.target_scale + model.target_offset
+    out = _forward(model, features[None])[0] * model.target_scale + model.target_offset
     return variant_scale(model.config.target, float(out[0]), float(out[1]))
 
 
@@ -304,7 +304,7 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     """Argmax class for one image; ties break toward the lowest class id."""
     if model.class_labels is None:
         raise ValueError("predict_class needs a classifier model, got a regressor")
-    logits = _forward(model, [features])[0]
+    logits = _forward(model, features[None])[0]
     # np.argmax returns the first (lowest) index on ties
     return model.class_labels[int(np.argmax(logits))]
 
@@ -363,8 +363,10 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
             raise ValueError(f"{path}: {name} must be a list of {width} numbers, "
                              f"got {json.dumps(header[name])}")
     cfg = HeadConfig(**header["config"])
-    rng = np.random.default_rng(0)  # params are overwritten below
-    network = build_head(cfg, in_channels, out_dim, rng)
+    try:  # the params it draws are overwritten below
+        network = build_head(cfg, in_channels, out_dim, np.random.default_rng(0))
+    except ValueError as exc:  # build_head's one check is cfg.validate()
+        raise ValueError(f"{path}: config: {exc}") from None
     for i, p in enumerate(network.parameters()):
         value = read_tensor(ckpt_dir / f"param_{i:03d}.adt")
         if value.shape != p.value.shape:

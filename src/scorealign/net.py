@@ -152,8 +152,6 @@ class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval."""
 
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x, mode="eval", rng=None):

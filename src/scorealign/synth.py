@@ -51,6 +51,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k_classes < 2:
             raise ValueError("k_classes must be >= 2")
         h, w = self.grid_h, self.grid_w

@@ -1,9 +1,14 @@
-"""Shared test plumbing: the acceptance-criteria summary section.
+"""Shared test plumbing: the acceptance-criteria summary section, and a check
+that no test leaves a child process behind.
 
 Acceptance tests record a detail string per criterion; after the run a
 terminal-summary section prints one PASS/FAIL line per criterion so the
 verdicts are visible in the normal pytest output.
 """
+
+import multiprocessing
+
+import pytest
 
 CRITERION_DETAILS: dict[int, str] = {}
 
@@ -27,3 +32,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 f"[criterion {number:02d}] PASS" + (f": {detail}" if detail else ""))
         else:
             terminalreporter.write_line(f"[criterion {number:02d}] FAIL: see {r.nodeid}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process (such as an ablate worker) running."""
+    yield
+    assert not multiprocessing.active_children()

@@ -130,18 +130,19 @@ class TestStandardize:
         for row, got in zip(rows, batch):
             ref = (feats[row].astype(np.float64) - mean[:, None, None]) / std[:, None, None]
             assert got.tobytes() == ref.tobytes()
-            assert heads._forward(model, [x[row]])[0].tobytes() == ref.tobytes()
+            assert heads._forward(model, x[row][None])[0].tobytes() == ref.tobytes()
         assert x.tobytes() == feats.tobytes()
 
-    def test_shared_standardized_stack_trains_the_same_head(self):
+    def test_trainings_on_one_stack_leave_it_and_agree(self):
+        """Two trainings on one float32 stack (as an ablate worker runs its
+        cells) leave it unmodified and give the head of a training on a copy."""
         rng = np.random.default_rng(6)
         feats, maps = _class_images(rng, np.ones(DIM), 2.0, 10, "x")
         cfg, tc = HeadConfig(structure="1conv+2lin", hidden_dim=8), TrainConfig(iterations=20)
         own = train_regressor(*_training_set(feats, maps), cfg, tc)
         x, row_maps = _training_set(feats, maps)
         raw = x.copy()
-        norm = standardize(x, range(len(x)))
-        shared = [train_regressor(x, row_maps, cfg, tc, norm) for _ in range(2)]
+        shared = [train_regressor(x, row_maps, cfg, tc) for _ in range(2)]
         assert x.dtype == np.float32 and x.tobytes() == raw.tobytes()
         for model in shared:
             assert model.loss_trace == own.loss_trace
@@ -183,6 +184,13 @@ class TestBuildHead:
         for hidden_dim in (0, -1):
             with pytest.raises(ValueError, match="hidden_dim"):
                 HeadConfig(structure="2lin", hidden_dim=hidden_dim).validate()
+
+    def test_invalid_dropout_rate(self):
+        for rate in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+                HeadConfig(dropout_rate=rate).validate()
+            with pytest.raises(ValueError, match="dropout_rate"):
+                build_head(HeadConfig(dropout_rate=rate), DIM, 2, np.random.default_rng(0))
 
 
 class TestRegressor:

@@ -62,36 +62,52 @@ def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
 
 
 def _split(manifest: DatasetManifest, split: str) -> list[ImageEntry]:
-    """The split's entries in manifest order; an empty split is a ManifestError."""
-    entries = manifest.split(split)
+    """The split's entries in manifest order ("all": train, then test); an
+    empty split is a ManifestError."""
+    if split == "all":
+        entries, split = manifest.split("train") + manifest.split("test"), "train or test"
+    else:
+        entries = manifest.split(split)
     if not entries:
         raise ManifestError(f"no {split} images in the manifest")
     return entries
 
 
-def _read_stack(manifest: DatasetManifest, split: str) -> tuple[list[ImageEntry], np.ndarray]:
-    """The split's entries in id order and their features, in one stack of the files' dtype."""
-    entries = sorted(_split(manifest, split), key=lambda e: e.image_id)
-    for row, e in enumerate(entries):
+def _read_split(manifest: DatasetManifest, split: str):
+    """Yield the split's (entry, features) in id order, one file read at a time;
+    a file of another dtype or shape than the first is a TensorFormatError."""
+    for row, e in enumerate(sorted(_split(manifest, split), key=lambda e: e.image_id)):
         f = read_tensor(_feature_path(manifest, e))
         if row == 0:
-            x = np.empty((len(entries), *f.shape), dtype=f.dtype)
-        if f.shape != x.shape[1:] or f.dtype != x.dtype:
+            dtype, shape = f.dtype, f.shape
+        if f.shape != shape or f.dtype != dtype:
             raise TensorFormatError(f"{e.image_id}: features {f.dtype} {f.shape}, "
-                                    f"not {x.dtype} {x.shape[1:]}")
+                                    f"not {dtype} {shape}")
+        yield e, f
+
+
+def _read_stack(manifest: DatasetManifest, split: str) -> tuple[list[ImageEntry], np.ndarray]:
+    """The split's entries in id order and their features, in one stack of the files' dtype."""
+    entries = []
+    for row, (e, f) in enumerate(_read_split(manifest, split)):
+        if row == 0:
+            x = np.empty((len(manifest.split(split)), *f.shape), dtype=f.dtype)
         x[row] = f
+        entries.append(e)
     return entries, x
+
+
+def _read_map(maps_dir: Path, e: ImageEntry) -> np.ndarray:
+    """The image's score map; a missing file is a ManifestError naming it."""
+    path = maps_dir / f"{e.image_id}.adt"
+    if not path.is_file():
+        raise ManifestError(f"{e.image_id}: missing score map {path}")
+    return read_tensor(path)
 
 
 def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[str, np.ndarray]:
     """The split's score maps by image id, in manifest order; an empty split is a ManifestError."""
-    out = {}
-    for e in _split(manifest, split):
-        path = maps_dir / f"{e.image_id}.adt"
-        if not path.is_file():
-            raise ManifestError(f"{e.image_id}: missing score map {path}")
-        out[e.image_id] = read_tensor(path)
-    return out
+    return {e.image_id: _read_map(maps_dir, e) for e in _split(manifest, split)}
 
 
 def _write_maps(out_dir: Path, maps: dict[str, np.ndarray]) -> None:
@@ -150,8 +166,8 @@ def cmd_gen(args, manifest) -> str:
 
 
 def cmd_fit_base(args, manifest) -> str:
-    _, x = _read_stack(manifest, "train")
-    points = synth.fit_coreset(x, args.m_per_image, seed=args.seed)
+    images = (f for _, f in _read_split(manifest, "train"))
+    points = synth.fit_coreset(images, args.m_per_image, seed=args.seed)
     out_dir = Path(args.out)
     synth.save_coreset(points, out_dir)
     return f"coreset with {points.shape[0]} points -> {out_dir}"
@@ -164,9 +180,7 @@ SCORE_CHUNK_ROWS = 16384
 
 def cmd_score(args, manifest) -> str:
     tree = synth.load_coreset(args.coreset)
-    entries = (manifest.split("train") + manifest.split("test") if args.split == "all"
-               else _split(manifest, args.split))
-    todo = [(e.image_id, _feature_path(manifest, e)) for e in entries]
+    todo = [(e.image_id, _feature_path(manifest, e)) for e in _split(manifest, args.split)]
     # every map is computed before --out is made, so a failed score leaves none
     maps, ids, feats, rows = {}, [], [], 0
     for n, (image_id, path) in enumerate(todo, 1):
@@ -205,9 +219,8 @@ def cmd_train_head(args, manifest) -> str:
     train_cfg = heads.TrainConfig(**{f.name: getattr(args, f.name)
                                      for f in fields(heads.TrainConfig)})
     if args.mode == "regressor":
-        maps = _load_maps(manifest, Path(args.maps), "train")
-        model = heads.train_regressor(x, [maps[e.image_id] for e in entries],
-                                      head_cfg, train_cfg)
+        maps = (_read_map(Path(args.maps), e) for e in entries)
+        model = heads.train_regressor(x, maps, head_cfg, train_cfg)
     else:
         class_ids = [e.class_id for e in entries]
         if None in class_ids:
@@ -313,8 +326,7 @@ def _ablate_cell(manifest, maps_dir, settings, cell) -> dict[str, tuple[float, f
     a data error fails that cell."""
     if not _worker:
         entries, x = _read_stack(manifest, "train")
-        maps = _load_maps(manifest, maps_dir, "train")
-        _worker.update(x=x, maps=[maps[e.image_id] for e in entries],
+        _worker.update(x=x, maps=[_read_map(maps_dir, e) for e in entries],
                        test=_read_stack(manifest, "test"))
     structure, dropout = cell
     head_cfg = heads.HeadConfig(structure=structure, hidden_dim=settings["hidden_dim"],

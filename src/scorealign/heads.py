@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def _fit(
     buf = np.empty((train_cfg.batch_size, *x.shape[1:]))
     for it in range(iterations):
         idx = rng.integers(0, len(rows), size=train_cfg.batch_size)
-        out = _forward(model, x[rows[idx]], buf, "train", rng)
+        out = _forward(model, _gather(x, rows[idx], buf), "train", rng)
         loss, grad = batch_loss(out, idx)
         if not np.isfinite(loss):
             raise net.NumericalError(f"non-finite loss at iteration {it}")
@@ -211,22 +211,23 @@ def _fit(
 
 def train_regressor(
     x: np.ndarray,
-    score_maps: Sequence[np.ndarray],
+    score_maps: Iterable[np.ndarray],
     head_cfg: HeadConfig,
     train_cfg: TrainConfig,
 ) -> HeadModel:
     """Train the statistics regressor on normal training images.
 
     x is the [N, C, H, W] stack of their raw features, score_maps their maps
-    row for row. Each batch is standardized by the `standardize` norm of all
-    of x; x is not modified.
+    row for row, consumed once: each map is reduced to its target as it comes,
+    and the count is checked after the last one. Each batch is standardized by
+    the `standardize` norm of all of x; x is not modified.
 
     Targets are each map's `map_pair` under head_cfg.target; dropout is
     active throughout training as the pseudo-anomaly noise source.
     """
-    if not len(x) or len(score_maps) != len(x):
-        raise ValueError(f"{len(score_maps)} score maps for {len(x)} training images")
     targets = np.array([map_pair(m, head_cfg.target) for m in score_maps])
+    if not len(x) or len(targets) != len(x):
+        raise ValueError(f"{len(targets)} score maps for {len(x)} training images")
     t_offset = targets.mean(axis=0)
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale
@@ -270,21 +271,28 @@ def train_classifier(
     model = _fit(x, rows, head_cfg, train_cfg, k, batch_loss, target_offset=np.zeros(k),
                  target_scale=np.ones(k), class_labels=classes.tolist())
     held_rows, size = np.flatnonzero(held), train_cfg.batch_size
-    pred = np.concatenate([np.argmax(_forward(model, x[held_rows[i:i + size]]), axis=1)
-                           for i in range(0, len(held_rows), size)])
+    buf = np.empty((size, *x.shape[1:]))
+    batches = (_gather(x, held_rows[i:i + size], buf) for i in range(0, len(held_rows), size))
+    pred = np.concatenate([np.argmax(_forward(model, batch), axis=1) for batch in batches])
     model.holdout_accuracy = float(np.mean(pred == labels[held]))
     return model
 
 
-def _forward(model: HeadModel, images, buf=None, mode="eval", rng=None) -> np.ndarray:
-    """The network's output for the [n, C, H, W] images, standardized by the
-    model's input norm into buf[:n] (a new float64 array if buf is None).
-    Images of another channel count than the head's are a ValueError."""
-    shape, channels = images.shape, len(model.input_offset)
-    if shape[1] != channels:
-        raise ValueError(f"features have {shape[1]} channels, the head takes {channels}")
-    x = np.empty(shape) if buf is None else buf[:len(images)]
-    x[...] = images
+def _gather(x: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """x[rows] copied row by row into buf[:len(rows)], which is returned."""
+    batch = buf[:len(rows)]
+    for row, r in zip(batch, rows):
+        row[...] = x[r]
+    return batch
+
+
+def _forward(model: HeadModel, x: np.ndarray, mode="eval", rng=None) -> np.ndarray:
+    """The network's output for the float64 [n, C, H, W] batch x, which is
+    standardized in place by the model's input norm first. A batch of another
+    channel count than the head's is a ValueError."""
+    channels = len(model.input_offset)
+    if x.shape[1] != channels:
+        raise ValueError(f"features have {x.shape[1]} channels, the head takes {channels}")
     x -= model.input_offset[:, None, None]
     x /= model.input_scale[:, None, None]
     return model.network.forward(x, mode=mode, rng=rng)
@@ -296,7 +304,8 @@ def predict_stats(model: HeadModel, features: np.ndarray) -> tuple[float, float]
     """
     if model.class_labels is not None:
         raise ValueError("predict_stats needs a regressor model, got a classifier")
-    out = _forward(model, features[None])[0] * model.target_scale + model.target_offset
+    out = _forward(model, features[None].astype(np.float64))[0]
+    out = out * model.target_scale + model.target_offset
     return variant_scale(model.config.target, float(out[0]), float(out[1]))
 
 
@@ -304,7 +313,7 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
     """Argmax class for one image; ties break toward the lowest class id."""
     if model.class_labels is None:
         raise ValueError("predict_class needs a classifier model, got a regressor")
-    logits = _forward(model, features[None])[0]
+    logits = _forward(model, features[None].astype(np.float64))[0]
     # np.argmax returns the first (lowest) index on ties
     return model.class_labels[int(np.argmax(logits))]
 

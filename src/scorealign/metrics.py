@@ -46,46 +46,56 @@ def _as_score_label_arrays(scores, labels):
 def _positive_groups(s: np.ndarray, pos: np.ndarray):
     """For each distinct score some positive holds, in ascending order, three
     int arrays: the positives at that score, the scores strictly below it,
-    and the scores at or below it."""
+    and the scores at or below it. Sorts s in place."""
     t, count = np.unique(s[pos], return_counts=True)
-    sorted_s = np.sort(s)
-    return count, np.searchsorted(sorted_s, t, "left"), np.searchsorted(sorted_s, t, "right")
+    s.sort()
+    return count, np.searchsorted(s, t, "left"), np.searchsorted(s, t, "right")
 
 
-def auroc(scores, labels) -> float:
-    """Probability a positive outscores a negative, ties counting half.
-
-    Raises UndefinedMetricError unless both classes are present.
-    """
-    s, pos = _as_score_label_arrays(scores, labels)
+def _auroc(pos, groups) -> float:
+    count, below, upto = groups
     n_pos = int(np.count_nonzero(pos))
     n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"auroc needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    count, below, upto = _positive_groups(s, pos)
     # a tie group at 0-based sorted positions below..upto-1 has the average
     # 1-based rank (below + upto + 1) / 2; the integer sum is exact
     rank_sum = 0.5 * int(np.sum(count * (below + upto + 1)))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def average_precision(scores, labels) -> float:
-    """Step-wise AP: sum of (R_k - R_{k-1}) * P_k over descending unique thresholds."""
-    s, pos = _as_score_label_arrays(scores, labels)
+def _average_precision(pos, groups) -> float:
+    count, below, _ = groups
     n_pos = int(np.count_nonzero(pos))
     if n_pos == 0:
         raise UndefinedMetricError("average_precision needs at least one positive")
-    count, below, _ = _positive_groups(s, pos)
     # a threshold no positive holds adds R_k - R_{k-1} = 0 exactly, so only
     # the positive thresholds contribute, from the highest down
     tp = np.cumsum(count[::-1])
     recall = tp / n_pos
-    precision = tp / (s.size - below[::-1])
+    precision = tp / (pos.size - below[::-1])
     terms = np.diff(recall, prepend=0.0) * precision
     # cumsum adds in sequence; np.sum's pairwise order moves the last bit
     return float(np.cumsum(terms)[-1])
+
+
+def auroc(scores, labels) -> float:
+    """Probability a positive outscores a negative, ties counting half.
+
+    Raises UndefinedMetricError unless both classes are present. scores is
+    left unmodified.
+    """
+    s, pos = _as_score_label_arrays(scores, labels)
+    return _auroc(pos, _positive_groups(s.copy(), pos))
+
+
+def average_precision(scores, labels) -> float:
+    """Step-wise AP: sum of (R_k - R_{k-1}) * P_k over descending unique
+    thresholds. scores is left unmodified."""
+    s, pos = _as_score_label_arrays(scores, labels)
+    return _average_precision(pos, _positive_groups(s.copy(), pos))
 
 
 def image_score(values: np.ndarray, top_fraction) -> float:
@@ -139,21 +149,27 @@ def _image_row(e, values, masks, top_fraction):
     return score, int(anomalous), flat, pixel_labels
 
 
+def _rank_metrics(scores, labels) -> tuple[float, float]:
+    """(auroc, average_precision) of one pool from one sort; a float64 scores
+    array is sorted in place, so it must be the pool's own."""
+    s, pos = _as_score_label_arrays(scores, labels)
+    groups = _positive_groups(s, pos)
+    return _auroc(pos, groups), _average_precision(pos, groups)
+
+
 def _pool_metrics(scope, rows) -> MetricsReport:
     img_scores = [r[0] for r in rows]
     img_labels = [r[1] for r in rows]
     pixels = [r[2:] for r in rows if r[2] is not None]
     n_pixels = sum(flat.size for flat, _ in pixels)
 
-    i_auroc = auroc(img_scores, img_labels)
-    i_ap = average_precision(img_scores, img_labels)
+    i_auroc, i_ap = _rank_metrics(img_scores, img_labels)
     p_auroc = p_ap = None
     if pixels:
         ps = np.concatenate([flat for flat, _ in pixels])
         pl = np.concatenate([labels for _, labels in pixels])
         if pl.any() and not pl.all():
-            p_auroc = auroc(ps, pl)
-            p_ap = average_precision(ps, pl)
+            p_auroc, p_ap = _rank_metrics(ps, pl)
     return MetricsReport(scope, i_auroc, i_ap, p_auroc, p_ap, len(rows), n_pixels)
 
 

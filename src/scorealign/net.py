@@ -140,12 +140,23 @@ class GELU(Layer):
 
     def forward(self, x, mode="eval", rng=None):
         self._x = x
-        self._cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-        return x * self._cdf
+        # 0.5 * (1 + erf(x / sqrt(2))), each step in place in one array
+        self._cdf = cdf = x / math.sqrt(2.0)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        return x * cdf
 
     def backward(self, grad_out):
-        pdf = np.exp(-0.5 * self._x**2) / math.sqrt(2.0 * math.pi)
-        return grad_out * (self._cdf + self._x * pdf)
+        # grad_out * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)), each step in place
+        g = self._x**2
+        g *= -0.5
+        np.exp(g, out=g)
+        g /= math.sqrt(2.0 * math.pi)
+        g *= self._x
+        g += self._cdf
+        g *= grad_out
+        return g
 
 
 class Dropout(Layer):

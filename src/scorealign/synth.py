@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -51,9 +51,20 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        """Reject settings no benchmark can be made from, naming the field.
+
+        A feature is a center coordinate plus spread * (z + an anomaly shift),
+        so its magnitude is at most |center_radius| + spread_max * (13 +
+        |anomaly_rel_magnitude|): numpy's Generator draws no standard normal z
+        beyond 13. That bound must fit float32, the features' dtype."""
         for name, value in asdict(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        largest = abs(self.center_radius) + self.spread_max * (13 + abs(self.anomaly_rel_magnitude))
+        if largest > float(np.finfo(np.float32).max):
+            raise ValueError(f"|center_radius| + spread_max * (13 + |anomaly_rel_magnitude|) "
+                             f"must be at most {np.finfo(np.float32).max:.6g} (float32), "
+                             f"got {largest:.6g}")
         if self.k_classes < 2:
             raise ValueError("k_classes must be >= 2")
         h, w = self.grid_h, self.grid_w
@@ -171,19 +182,20 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     return manifest
 
 
-def fit_coreset(x: np.ndarray, m_per_image: int, seed: int = 0) -> np.ndarray:
+def fit_coreset(images: Iterable[np.ndarray], m_per_image: int, seed: int = 0) -> np.ndarray:
     """The memory bank of normal feature vectors, [M, D] float64:
-    m_per_image uniformly subsampled grid locations of each image of the
-    [N, D, H, W] training stack x, in row order."""
-    _, d, h, w = x.shape
-    n_loc = h * w
-    if not 1 <= m_per_image <= n_loc:
-        raise ValueError(f"m_per_image must be in [1, {n_loc}], got {m_per_image}")
+    m_per_image uniformly subsampled grid locations of each [D, H, W]
+    training image, in iteration order. images is consumed once and no image
+    is kept, so memory grows with the bank, not with the training set."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     chunks = []
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    for feats in x:
+    for feats in images:
+        d, h, w = feats.shape
+        n_loc = h * w
+        if not 1 <= m_per_image <= n_loc:
+            raise ValueError(f"m_per_image must be in [1, {n_loc}], got {m_per_image}")
         flat = feats.reshape(d, n_loc).T
         idx = rng.permutation(n_loc)[:m_per_image]
         chunks.append(flat[np.sort(idx)])

@@ -90,6 +90,35 @@ def _manifest_copy(pipeline, data, edit=None):
     return data / "manifest.json"
 
 
+# the float32 train stack of _stack_data's benchmark: 200 images of 8 x 16 x 16
+STACK_BYTES = 200 * 8 * 16 * 16 * np.dtype(np.float32).itemsize
+
+
+def _stack_data(root, maps=False) -> tuple[str, str]:
+    """A 2-class benchmark with 200 train images under root/data and, with
+    maps, their score maps under root/maps; return both paths."""
+    data, maps_dir = str(root / "data"), str(root / "maps")
+    assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
+                 "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
+                 "--test-anomalous", "1"]) == 0
+    if maps:
+        assert main(["fit-base", "--data", data, "--out", str(root / "coreset")]) == 0
+        assert main(["score", "--data", data, "--coreset", str(root / "coreset"),
+                     "--out", maps_dir]) == 0
+    return data, maps_dir
+
+
+def _peak_bytes(argv) -> int:
+    """The tracemalloc peak of main(argv) above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def _tree_bytes(root) -> dict:
     """{relative path: bytes} of every file under root except its run config."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*"))
@@ -486,23 +515,25 @@ class TestExitCodes:
         (["train-head", "--mode", "classifier"], "train"),
         (["score", "--coreset", "{root}/coreset", "--split", "train"], "train"),
         (["score", "--coreset", "{root}/coreset", "--split", "test"], "test"),
+        (["score", "--coreset", "{root}/coreset", "--split", "all"], "all"),
         (["align", "--mode", "oracle", "--maps", "{root}/maps", "--stats", "{root}/stats.csv"],
          "test"),
         (["eval", "--maps", "{root}/maps"], "test"),
         (["report", "--maps", "{root}/maps"], "test"),
         (["ablate", "--maps", "{root}/maps", "--iterations", "1"], "train"),
         (["ablate", "--maps", "{root}/maps"], "test"),
-    ], ids=["stats", "fit-base", "train-head", "score-train", "score-test", "align", "eval",
-            "report", "ablate-train", "ablate-test"])
+    ], ids=["stats", "fit-base", "train-head", "score-train", "score-test", "score-all",
+            "align", "eval", "report", "ablate-train", "ablate-test"])
     def test_empty_split_is_data_error_naming_it(
             self, pipeline, tmp_path, capsys, argv, split):
-        def edit(doc):
-            doc["images"] = [r for r in doc["images"] if r["split"] != split]
+        def edit(doc):  # "all" drops every image
+            doc["images"] = [r for r in doc["images"] if split not in (r["split"], "all")]
         manifest = _manifest_copy(pipeline, tmp_path / "data", edit)
         out = tmp_path / "out"
         assert main([a.format(root=pipeline) for a in argv]
                     + ["--data", str(manifest.parent), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: no {split} images in the manifest\n"
+        named = "train or test" if split == "all" else split
+        assert capsys.readouterr().err == f"error: no {named} images in the manifest\n"
         assert not out.exists()
 
     def test_key_error_in_a_stage_is_no_data_error(self, pipeline, tmp_path, monkeypatch):
@@ -524,9 +555,13 @@ class TestExitCodes:
         (["--center-radius", "inf"], "center_radius must be finite, got inf"),
         (["--anomaly-rel-magnitude", "nan"], "anomaly_rel_magnitude must be finite, got nan"),
         (["--spread-max", "inf"], "spread_max must be finite, got inf"),
+        # finite, but its features overflow float32
+        (["--center-radius", "1e39"], "|center_radius| + spread_max * (13 + "
+                                      "|anomaly_rel_magnitude|) must be at most 3.40282e+38 "
+                                      "(float32), got 1e+39"),
     ], ids=["grid-2x2", "area-between-fractions", "grid-h-0", "grid-w-neg", "feat-dim-0",
             "seed-neg", "center-radius-nan", "center-radius-inf", "anomaly-nan",
-            "spread-max-inf"])
+            "spread-max-inf", "center-radius-1e39"])
     def test_gen_unusable_config_is_data_error_before_writing(
             self, tmp_path, capsys, flags, field):
         out = tmp_path / "data"
@@ -1012,28 +1047,15 @@ class TestTrainStack:
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
     def test_ablate_parent_never_holds_a_split(self, tmp_path):
-        data, maps = str(tmp_path / "data"), str(tmp_path / "maps")
-        assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
-                     "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
-                     "--test-anomalous", "1"]) == 0
-        assert main(["fit-base", "--data", data, "--out", str(tmp_path / "coreset")]) == 0
-        assert main(["score", "--data", data, "--coreset", str(tmp_path / "coreset"),
-                     "--out", maps]) == 0
-        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float32).itemsize
+        data, maps = _stack_data(tmp_path, maps=True)
         # the pool's modules, imported by the first pool a process starts, are no data
         import concurrent.futures.process  # noqa: F401
         import multiprocessing.popen_spawn_posix  # noqa: F401
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(["ablate", "--data", data, "--maps", maps,
-                         "--out", str(tmp_path / "ablation.csv"), "--hidden-dim", "2",
-                         "--iterations", "1"]) == 0
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = _peak_bytes(["ablate", "--data", data, "--maps", maps,
+                            "--out", str(tmp_path / "ablation.csv"), "--hidden-dim", "2",
+                            "--iterations", "1"])
         # ~0.25x: the manifest, the test maps and the pool; the stack alone would be 1x
-        assert peak < 0.5 * stack_bytes
+        assert peak < 0.5 * STACK_BYTES
 
     @pytest.mark.parametrize("change,named", [
         (lambda f: f.astype(np.float64), "features float64 (4, 8, 8), not float32 (4, 8, 8)"),
@@ -1064,23 +1086,29 @@ class TestTrainStack:
         assert not out.exists()
 
     def test_train_head_peak_memory_is_the_stack(self, tmp_path):
-        data = str(tmp_path / "data")
-        assert main(["gen", "--out", data, "--k-classes", "2", "--grid-h", "16", "--grid-w", "16",
-                     "--feat-dim", "8", "--train-normal", "100", "--test-normal", "1",
-                     "--test-anomalous", "1"]) == 0
-        stack_bytes = 200 * 8 * 16 * 16 * np.dtype(np.float32).itemsize
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(["train-head", "--data", data, "--mode", "classifier",
-                         "--out", str(tmp_path / "clf"), "--structure", "2lin",
-                         "--hidden-dim", "8", "--iterations", "3", "--batch-size", "2"]) == 0
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        data, _ = _stack_data(tmp_path)
+        peak = _peak_bytes(["train-head", "--data", data, "--mode", "classifier",
+                            "--out", str(tmp_path / "clf"), "--structure", "2lin",
+                            "--hidden-dim", "8", "--iterations", "3", "--batch-size", "2"])
         # ~1.2x: the float32 stack plus the network and its batches; a float64
         # copy of the stack alone would be 2x
-        assert peak < 1.3 * stack_bytes
+        assert peak < 1.3 * STACK_BYTES
+
+    def test_regressor_train_head_keeps_targets_not_maps(self, tmp_path):
+        data, maps = _stack_data(tmp_path, maps=True)
+        peak = _peak_bytes(["train-head", "--data", data, "--maps", maps, "--mode", "regressor",
+                            "--out", str(tmp_path / "reg"), "--structure", "2lin",
+                            "--hidden-dim", "8", "--iterations", "3", "--batch-size", "2"])
+        # ~1.2x, as the classifier: each map is reduced to its (u, gamma) as it
+        # is read; holding the 200 float64 maps as well would be ~1.5x
+        assert peak < 1.3 * STACK_BYTES
+
+    def test_fit_base_streams_its_images(self, tmp_path):
+        data, _ = _stack_data(tmp_path)
+        peak = _peak_bytes(["fit-base", "--data", data, "--out", str(tmp_path / "coreset")])
+        # ~0.3x: the float64 coreset (16 of 256 locations, 0.125x), its float32
+        # chunks and one image at a time; the train stack alone would be 1x
+        assert peak < 0.5 * STACK_BYTES
 
 
 class TestGenCommand:

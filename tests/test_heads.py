@@ -126,11 +126,13 @@ class TestStandardize:
         # prediction standardize each image as the reference does
         model = HeadModel(config=HeadConfig(), network=_Echo(), input_offset=offset,
                           input_scale=scale)
-        batch = heads._forward(model, x[rows], np.empty((len(rows) + 1, *shape[1:])))
+        buf = np.empty((len(rows) + 1, *shape[1:]))
+        batch = heads._forward(model, heads._gather(x, np.array(rows), buf))
         for row, got in zip(rows, batch):
             ref = (feats[row].astype(np.float64) - mean[:, None, None]) / std[:, None, None]
             assert got.tobytes() == ref.tobytes()
-            assert heads._forward(model, x[row][None])[0].tobytes() == ref.tobytes()
+            one = heads._forward(model, x[row][None].astype(np.float64))[0]
+            assert one.tobytes() == ref.tobytes()
         assert x.tobytes() == feats.tobytes()
 
     def test_trainings_on_one_stack_leave_it_and_agree(self):

@@ -116,6 +116,20 @@ def test_labels_outside_zero_one_rejected(metric, labels):
         metric([0.9, 0.5, 0.1], labels)
 
 
+@pytest.mark.parametrize("metric", [auroc, average_precision])
+def test_inputs_are_left_unmodified(metric):
+    """A float64 score array reaches the metric without a copy, so the sort
+    must work on one of its own; the labels keep their order too."""
+    rng = np.random.default_rng(7)
+    scores = rng.normal(size=(4, 50))
+    labels = rng.integers(0, 2, size=(4, 50))
+    labels[0, :2] = 0, 1
+    before = scores.copy(), labels.copy()
+    metric(scores, labels)
+    assert scores.tobytes() == before[0].tobytes()
+    assert labels.tobytes() == before[1].tobytes()
+
+
 @st.composite
 def tied_levels(draw):
     """(level index per sample, labels, number of levels); fewer levels than samples force ties."""
@@ -253,6 +267,25 @@ class TestEvaluate:
                 labels.append(np.zeros(4, dtype=int))
         assert mixed.p_auroc == auroc(np.concatenate(scores), np.concatenate(labels))
         assert mixed.n_pixels == 16 * 4
+
+    def test_one_sort_per_pool_matches_the_public_metrics(self):
+        """Each pool's AUROC and AP come from one sort of its own scores,
+        equal to auroc and average_precision; the caller's maps are left alone."""
+        man = _toy_manifest()
+        maps, masks = _toy_maps()
+        before = {k: v.copy() for k, v in maps.items()}
+        test = man.split("test")
+        y = [int(e.label == "anomalous") for e in test]
+        pixels = np.concatenate([maps[e.image_id].ravel() for e in test])
+        pixel_y = np.concatenate([masks[e.image_id].ravel() if e.image_id in masks
+                                  else np.zeros(4) for e in test])
+        for top_fraction in ("max", 0.5):
+            mixed = evaluate(man, maps, masks, top_fraction=top_fraction)[0]
+            scores = [image_score(maps[e.image_id], top_fraction) for e in test]
+            assert (mixed.i_auroc, mixed.i_ap) == (auroc(scores, y), average_precision(scores, y))
+            assert (mixed.p_auroc, mixed.p_ap) == (auroc(pixels, pixel_y),
+                                                   average_precision(pixels, pixel_y))
+        assert all(maps[k].tobytes() == v.tobytes() for k, v in before.items())
 
     def test_unlabeled_manifest_mixed_only(self):
         entries = [

@@ -46,8 +46,6 @@ def fit_class_stats(maps_by_class: Mapping[int, Sequence[np.ndarray]]) -> list[C
     out = []
     for class_id in sorted(maps_by_class):
         maps = [np.asarray(m, dtype=np.float64) for m in maps_by_class[class_id]]
-        if not maps:
-            raise ValueError(f"class {class_id}: empty score-map group")
         pixels = np.concatenate([m.ravel() for m in maps])
         maxima = np.array([float(np.max(m)) for m in maps])
         out.append(
@@ -96,8 +94,6 @@ def variant_scale(variant: str, u: float, second: float) -> Scale:
 def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[int, Scale]:
     """Each class's (u, gamma) under the variant, from its fitted (u, gamma)
     or (u, sigma)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     return {s.class_id: variant_scale(variant, s.u, s.gamma if variant == "meanmax" else s.sigma)
             for s in stats}
 
@@ -105,11 +101,9 @@ def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[
 def scale_by_class(scales: Mapping[int, Scale],
                    class_of: Callable[[str], Optional[int]]) -> Callable[[str], Scale]:
     """Per-image (u, gamma) of the class `class_of` gives the image: its
-    label (oracle) or the classifier's prediction. None means unlabeled."""
+    label (oracle) or the classifier's prediction."""
     def scale_of(image_id: str) -> Scale:
         cid = class_of(image_id)
-        if cid is None:
-            raise ValueError(f"{image_id}: no class label")
         if cid not in scales:
             raise ValueError(f"{image_id}: no fitted stats for class {cid}")
         return scales[cid]

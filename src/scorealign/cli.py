@@ -184,9 +184,12 @@ def cmd_score(args, manifest) -> str:
     # every map is computed before --out is made, so a failed score leaves none
     maps, ids, feats, rows = {}, [], [], 0
     for n, (image_id, path) in enumerate(todo, 1):
+        f = read_tensor(path)
+        if f.shape[0] != tree.m:
+            raise TensorFormatError(f"{image_id}: feature dim {f.shape[0]} != coreset dim {tree.m}")
         ids.append(image_id)
-        feats.append(read_tensor(path))
-        rows += math.prod(feats[-1].shape[1:])
+        feats.append(f)
+        rows += math.prod(f.shape[1:])
         if rows >= SCORE_CHUNK_ROWS or n == len(todo):
             maps.update(zip(ids, synth.score_knn(feats, tree)))
             ids, feats, rows = [], [], 0
@@ -406,7 +409,7 @@ def build_parser() -> _Parser:
     p = _subcommand(sub, "fit-base", cmd_fit_base, "fit the coreset memory bank", "data", "out")
     _add_flags(p, m_per_image=16, seed=0)
 
-    p = _subcommand(sub, "score", cmd_score, "nearest-neighbor score maps for a split",
+    p = _subcommand(sub, "score", cmd_score, "nearest-neighbor score maps of a split",
                     "data", "coreset", "out")
     p.add_argument("--split", choices=("train", "test", "all"), default="all")
 

@@ -218,16 +218,14 @@ def train_regressor(
     """Train the statistics regressor on normal training images.
 
     x is the [N, C, H, W] stack of their raw features, score_maps their maps
-    row for row, consumed once: each map is reduced to its target as it comes,
-    and the count is checked after the last one. Each batch is standardized by
-    the `standardize` norm of all of x; x is not modified.
+    row for row, consumed once: each map is reduced to its target as it comes.
+    Each batch is standardized by the `standardize` norm of all of x; x is not
+    modified.
 
     Targets are each map's `map_pair` under head_cfg.target; dropout is
     active throughout training as the pseudo-anomaly noise source.
     """
     targets = np.array([map_pair(m, head_cfg.target) for m in score_maps])
-    if not len(x) or len(targets) != len(x):
-        raise ValueError(f"{len(targets)} score maps for {len(x)} training images")
     t_offset = targets.mean(axis=0)
     t_scale = np.maximum(targets.std(axis=0), 1e-8)
     targets_n = (targets - t_offset) / t_scale
@@ -253,8 +251,6 @@ def train_classifier(
     scored batch_size rows at a time, recorded on the model; batches are
     standardized by the norm of the other rows, and x is not modified.
     """
-    if not len(x) or len(class_ids) != len(x):
-        raise ValueError(f"{len(class_ids)} class ids for {len(x)} training images")
     classes, labels = np.unique(class_ids, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("classification needs at least 2 classes")
@@ -352,9 +348,9 @@ def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
     """The HeadModel save_checkpoint wrote; its input channels are the entries
-    of input_offset. A head.json that is no CheckpointHeader, or whose sizes do
-    not fit the head its config builds, is a ValueError naming the file and
-    the key."""
+    of input_offset. A head.json that is no CheckpointHeader, whose sizes do
+    not fit the head its config builds, or with a scale entry not > 0, is a
+    ValueError naming the file and the key."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "head.json"
     header = read_json(path)
@@ -371,6 +367,9 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         if len(header[name]) != width:
             raise ValueError(f"{path}: {name} must be a list of {width} numbers, "
                              f"got {json.dumps(header[name])}")
+        # every scale the program writes is floored at 1e-8 or is 1
+        if name.endswith("scale") and min(header[name]) <= 0:
+            raise ValueError(f"{path}: {name} entries must be > 0, got {json.dumps(header[name])}")
     cfg = HeadConfig(**header["config"])
     try:  # the params it draws are overwritten below
         network = build_head(cfg, in_channels, out_dim, np.random.default_rng(0))

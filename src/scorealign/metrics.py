@@ -104,12 +104,8 @@ def image_score(values: np.ndarray, top_fraction) -> float:
     `top_fraction="max"` returns the single maximum pixel score.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty score map")
     if top_fraction == "max":
         return float(np.max(v))
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
     m = ceil(top_fraction * v.size)
     top = np.partition(v, v.size - m)[v.size - m :]
     return float(np.mean(np.sort(top)))
@@ -188,10 +184,6 @@ def evaluate(
     """
     masks = masks or {}
     entries = manifest.split("test")
-    missing = [e.image_id for e in entries if e.image_id not in score_maps]
-    if missing:
-        raise ValueError(f"missing score maps for {missing[:5]} (+{max(0, len(missing)-5)} more)")
-
     # each image is scored once; the mixed and per-class pools select its row
     rows = [_image_row(e, score_maps[e.image_id], masks, top_fraction) for e in entries]
     reports = [_pool_metrics("mixed", rows)]

@@ -63,9 +63,8 @@ class Conv3x3(Layer):
     Contiguous NCHW in and out. Inside, each of the 9 kernel offsets is one
     2-D matrix product over the channels of a window copied from a zero-padded
     channel-major copy, summed into zeros in (di, dj) order, then the bias;
-    trained bytes depend on it. A train-mode forward keeps its 9 windows for
-    the weight gradient, which drops them after use. An eval-mode forward
-    keeps only the padded copy, so a backward after it rebuilds the windows.
+    trained bytes depend on it. Every forward keeps its 9 windows, which the
+    weight gradient reads; the next forward drops them before it builds its own.
     """
 
     def __init__(self, in_channels, out_channels, rng):
@@ -76,32 +75,23 @@ class Conv3x3(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def _offset_windows(self):
-        """The 9 [C, N*H*W] windows of the padded copy, in (di, dj) order."""
-        xp = self._xp
-        c, _, h, w = xp.shape
-        for di in range(3):
-            for dj in range(3):
-                yield di, dj, xp[:, :, di : di + h - 2, dj : dj + w - 2].reshape(c, -1)
-
     def forward(self, x, mode="eval", rng=None):
         n, c, h, w = x.shape
+        self._windows = None  # no step holds two sets of windows
         self._xp = np.zeros((c, n, h + 2, w + 2))
         self._xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-        self._windows = [] if mode == "train" else None
+        # the 9 [C, N*H*W] windows of the padded copy, in (di, dj) order
+        self._windows = [(di, dj, self._xp[:, :, di : di + h, dj : dj + w].reshape(c, -1))
+                         for di in range(3) for dj in range(3)]
         y = np.zeros((self.w.value.shape[0], n * h * w))
-        for di, dj, window in self._offset_windows():
+        for di, dj, window in self._windows:
             y += self.w.value[:, :, di, dj] @ window
-            if self._windows is not None:
-                self._windows.append((di, dj, window))
         y += self.b.value[:, None]
         return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
     def param_backward(self, grad_out):
-        windows = self._windows or self._offset_windows()
-        self._windows = None
         g_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])  # [N*H*W, O]
-        for di, dj, window in windows:
+        for di, dj, window in self._windows:
             self.w.grad[:, :, di, dj] += (window @ g_rows).T
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
 

@@ -204,15 +204,13 @@ def fit_coreset(images: Iterable[np.ndarray], m_per_image: int, seed: int = 0) -
 
 def score_knn(features: Sequence[np.ndarray], tree: cKDTree) -> list[np.ndarray]:
     """Per-location Euclidean distance to the nearest memory-bank point: one [H, W]
-    map per [D, H, W] tensor; grids may differ. All rows go to one tree query
-    on every CPU. Each row is answered on its own, so the maps are
-    byte-identical to one single-threaded query per image."""
+    map per [D, H, W] tensor, D the tree's dim; grids may differ. All rows go to
+    one tree query on every CPU. Each row is answered on its own, so the maps
+    are byte-identical to one single-threaded query per image."""
     rows, shapes = [], []
     for f in features:
         feats = np.asarray(f, dtype=np.float64)
         d, h, w = feats.shape
-        if d != tree.m:
-            raise ValueError(f"feature dim {d} != coreset dim {tree.m}")
         rows.append(feats.reshape(d, h * w).T)
         shapes.append((h, w))
     dist, _ = tree.query(np.concatenate(rows), workers=-1)

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import struct
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -132,6 +133,9 @@ class DatasetManifest:
         """Raise ManifestError naming `where` and the image on an invalid record."""
         seen: set[str] = set()
         for e in self.images:
+            # an id names its score map file, <image_id>.adt inside a stage's --out
+            if e.image_id in ("", ".", "..") or "/" in e.image_id:
+                raise ManifestError(f"{where}: image_id {e.image_id!r} is not a file name")
             if e.image_id in seen:
                 raise ManifestError(f"{where}: duplicate image_id {e.image_id!r}")
             seen.add(e.image_id)
@@ -161,8 +165,7 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    """Write a manifest to JSON without its None fields; round-trips through read_manifest."""
-    manifest.validate()
+    """Write a manifest to JSON without its None fields; read_manifest validates it."""
     images = [{k: v for k, v in asdict(e).items() if v is not None} for e in manifest.images]
     write_json(path, {"images": images})
 
@@ -182,14 +185,18 @@ _JSON_KINDS = {str: ("a string", str), int: ("an integer", int), float: ("a numb
 
 def check_json(where: str, key: str, value, kind, error=ValueError) -> None:
     """Raise `error` naming `where` and `key` unless the JSON value is of the field
-    type `kind`: str, int, float (an integer or not), list[k] of any length (a bad
-    entry is named key[i]), or a dataclass (an object of its fields, check_fields)."""
+    type `kind`: str, int, float (an integer or not, finite as a float64), list[k] of
+    any length (a bad entry is named key[i]), or a dataclass (an object of its
+    fields, check_fields)."""
     origin = typing.get_origin(kind) or kind  # list[k] -> list
     if origin not in _JSON_KINDS:  # a dataclass
         return check_fields(f"{where}: {key}", value, kind, error)
     name, types = _JSON_KINDS[origin]
     if not isinstance(value, types) or isinstance(value, bool):
         raise error(f"{where}: {key} must be {name}, got {json.dumps(value)}")
+    # NaN, ±Infinity and an integer beyond float64's range all fail this comparison
+    if origin is float and not abs(value) <= sys.float_info.max:
+        raise error(f"{where}: {key} must be finite, got {json.dumps(value)}")
     for i, entry in enumerate(value if types is list else ()):
         check_json(where, f"{key}[{i}]", entry, typing.get_args(kind)[0], error)
 

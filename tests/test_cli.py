@@ -351,6 +351,33 @@ class TestScoreCommand:
             assert got.dtype == np.float64 and got.shape == (8, 8)
             assert got.tobytes() == want.reshape(8, 8).tobytes()
 
+    # the fixture manifest's images[12] is the first test image, images[-1] the last
+    @pytest.mark.parametrize("row", [12, -1], ids=["first", "last"])
+    def test_dim_mismatch_in_any_image_rejected(self, pipeline, tmp_path, capsys, row):
+        """A feature file of another channel count than the coreset's, first or
+        last in the split, exits 2 naming its image and leaves no --out."""
+        write_tensor(tmp_path / "bad.adt", np.zeros((3, 8, 8), dtype=np.float32))
+        manifest = _manifest_copy(pipeline, tmp_path / "data", lambda doc: operator.setitem(
+            doc["images"][row], "feature_path", str(tmp_path / "bad.adt")))
+        image_id = json.loads(manifest.read_text())["images"][row]["image_id"]
+        out = tmp_path / "maps"
+        assert main(["score", "--data", str(manifest.parent), "--split", "test",
+                     "--coreset", str(pipeline / "coreset"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {image_id}: feature dim 3 != coreset dim 4\n"
+        assert not out.exists()
+
+    def test_image_id_that_leaves_out_is_data_error(self, pipeline, tmp_path, capsys):
+        """A map is written as <image_id>.adt, so the id '../escaped' would put
+        one beside --out; the manifest is rejected before any file is written."""
+        manifest = _manifest_copy(pipeline, tmp_path / "data", lambda doc: operator.setitem(
+            doc["images"][12], "image_id", "../escaped"))
+        out = tmp_path / "t" / "maps"
+        assert main(["score", "--data", str(manifest.parent), "--split", "test",
+                     "--coreset", str(pipeline / "coreset"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: image_id '../escaped' is not a file name\n")
+        assert not (tmp_path / "t").exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -640,6 +667,15 @@ class TestExitCodes:
          'head.json: loss_trace[1] must be a number, got "x"'),
         (lambda header: {**header, "holdout_accuracy": "high"},
          'head.json: holdout_accuracy must be a number, got "high"'),
+        # numbers that are no finite float64, and scales not > 0
+        (lambda header: {**header, "input_scale": [float("nan"), *header["input_scale"][1:]]},
+         "head.json: input_scale[0] must be finite, got NaN"),
+        (lambda header: {**header, "input_scale": [0, *header["input_scale"][1:]]},
+         "head.json: input_scale entries must be > 0, got [0, "),
+        (lambda header: {**header, "target_scale": [float("inf"), *header["target_scale"][1:]]},
+         "head.json: target_scale[0] must be finite, got Infinity"),
+        (lambda header: {**header, "input_offset": [10**400, *header["input_offset"][1:]]},
+         "head.json: input_offset[0] must be finite, got 1000"),
         # the derived keys a checkpoint written before they were dropped carries
         (lambda header: {**header, "n_params": 4,
                          "param_shapes": [[16, 4], [16], [2, 16], [2]]},
@@ -649,7 +685,9 @@ class TestExitCodes:
          "head.json: unknown CheckpointHeader keys ['in_channels', 'seed']"),
     ], ids=["json-list", "target-offset-str", "input-offset-short", "input-offset-empty",
             "class-labels-int", "class-labels-one", "param-shape", "loss-trace-int",
-            "loss-trace-str-entry", "holdout-str", "old-param-keys", "old-channel-seed-keys"])
+            "loss-trace-str-entry", "holdout-str", "input-scale-nan", "input-scale-0",
+            "target-scale-inf", "input-offset-400-digits", "old-param-keys",
+            "old-channel-seed-keys"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"

@@ -266,13 +266,6 @@ class TestRegressor:
         f = next(iter(feats.values()))
         assert predict_stats(model, f) == predict_stats(model, f)
 
-    def test_missing_score_map_rejected(self):
-        rng = np.random.default_rng(105)
-        feats, maps = _class_images(rng, np.zeros(DIM), 1.0, 4, "x")
-        x, rows = _training_set(feats, maps)
-        with pytest.raises(ValueError, match="3 score maps for 4 training images"):
-            train_regressor(x, rows[:3], HeadConfig(), TrainConfig(iterations=1))
-
     def test_wrong_mode_rejected(self):
         model = _const_model([0.0, 1.0], class_labels=[0, 1])
         with pytest.raises(ValueError, match="regressor"):
@@ -291,10 +284,6 @@ class TestRegressor:
             with pytest.raises(ValueError, match=f"features have {channels} channels, "
                                                  f"the head takes {head_channels}"):
                 predict_stats(model, np.zeros((channels, *GRID), dtype=np.float32))
-
-    def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError, match="0 score maps for 0 training images"):
-            train_regressor(np.empty((0, DIM, *GRID)), [], HeadConfig(), TrainConfig())
 
 
 class TestClassifier:

@@ -200,16 +200,6 @@ class TestImageScore:
     def test_max_mode(self):
         assert image_score(np.array([[0.2, 0.9], [0.3, 0.1]]), "max") == 0.9
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            image_score(np.ones(4), 0.0)
-        with pytest.raises(ValueError):
-            image_score(np.ones(4), 1.5)
-
-    def test_empty_map(self):
-        with pytest.raises(ValueError):
-            image_score(np.ones((0,)), 0.01)
-
 
 def _toy_manifest():
     entries = [ImageEntry(f"tr{i}", "train", "normal", class_id=i % 2) for i in range(4)]
@@ -299,13 +289,6 @@ class TestEvaluate:
         # no masks at all: image metrics defined, pixel metrics absent
         assert reports[0].i_auroc == 1.0
         assert reports[0].p_auroc is None
-
-    def test_missing_map_rejected(self):
-        man = _toy_manifest()
-        maps, masks = _toy_maps()
-        del maps["a1_3"]
-        with pytest.raises(ValueError, match="a1_3"):
-            evaluate(man, maps, masks)
 
     def test_mask_shape_mismatch_rejected(self):
         man = _toy_manifest()

@@ -143,7 +143,7 @@ class TestConv3x3:
         conv.forward(x, mode="train", rng=rng)
         dx = conv.backward(dout)
         once = conv.w.grad.copy()
-        assert np.array_equal(conv.backward(dout), dx)  # windows rebuilt from the padded copy
+        assert np.array_equal(conv.backward(dout), dx)  # the kept windows read again
         assert np.array_equal(conv.w.grad, 2 * once)
 
 

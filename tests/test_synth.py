@@ -166,10 +166,6 @@ class TestCoreset:
         query = np.array([3.0, 4.0]).reshape(2, 1, 1)
         assert score_knn([query], tree)[0][0, 0] == pytest.approx(5.0, abs=1e-12)
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            score_knn([np.zeros((4, 2, 2))], cKDTree(np.zeros((3, 2))))
-
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
@@ -213,10 +209,6 @@ class TestScoreKnnBatch:
             want, _ = cKDTree(points).query(img.astype(np.float64).reshape(d, h * w).T)
             assert smap.dtype == np.float64 and smap.shape == (h, w)
             assert smap.tobytes() == want.reshape(h, w).tobytes()
-
-    def test_dim_mismatch_in_any_image_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            score_knn([np.zeros((2, 2, 2)), np.zeros((4, 1, 1))], cKDTree(np.zeros((3, 2))))
 
 
 class TestScaleMismatchMechanism:

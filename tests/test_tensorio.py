@@ -186,18 +186,21 @@ class TestManifest:
         assert back.images[0].class_id is None
         assert back.class_ids() == []
 
+    # write_manifest does not validate; read_manifest, where a manifest enters, does
     def test_duplicate_id_rejected(self, tmp_path):
-        m = _manifest([
+        path = tmp_path / "m.json"
+        write_manifest(path, _manifest([
             ImageEntry("a", "train", "normal"),
             ImageEntry("a", "test", "normal"),
-        ])
-        with pytest.raises(ManifestError, match="duplicate"):
-            write_manifest(tmp_path / "m.json", m)
+        ]))
+        with pytest.raises(ManifestError, match="m.json: duplicate image_id 'a'"):
+            read_manifest(path)
 
     def test_anomalous_train_rejected(self, tmp_path):
-        m = _manifest([ImageEntry("a", "train", "anomalous")])
-        with pytest.raises(ManifestError, match="train"):
-            write_manifest(tmp_path / "m.json", m)
+        path = tmp_path / "m.json"
+        write_manifest(path, _manifest([ImageEntry("a", "train", "anomalous")]))
+        with pytest.raises(ManifestError, match="m.json: a: train split must contain"):
+            read_manifest(path)
 
     @pytest.mark.parametrize("split,label,match", [
         ("val", "normal", "a: invalid split 'val'"),
@@ -208,6 +211,15 @@ class TestManifest:
         write_json(path, {"images": [{"image_id": "a", "split": split, "label": label}]})
         with pytest.raises(ManifestError, match=match):
             read_manifest(path)
+
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "../escaped", "a/b", "/abs"])
+    def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
+        """A score map is written as <image_id>.adt, so an id must not leave --out."""
+        path = tmp_path / "m.json"
+        write_json(path, {"images": [{"image_id": image_id, "split": "test", "label": "normal"}]})
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == f"{path}: image_id {image_id!r} is not a file name"
 
     def test_mask_on_normal_rejected(self):
         m = _manifest([ImageEntry("a", "test", "normal", mask_path="m.adt")])

@@ -73,11 +73,19 @@ def _split(manifest: DatasetManifest, split: str) -> list[ImageEntry]:
     return entries
 
 
+def _read_features(image_id: str, path: Path) -> np.ndarray:
+    """The image's [C, H, W] features; another rank is a TensorFormatError naming both."""
+    f = read_tensor(path)
+    if f.ndim != 3:
+        raise TensorFormatError(f"{image_id}: features of shape {f.shape}, not [C, H, W]")
+    return f
+
+
 def _read_split(manifest: DatasetManifest, split: str):
     """Yield the split's (entry, features) in id order, one file read at a time;
     a file of another dtype or shape than the first is a TensorFormatError."""
     for row, e in enumerate(sorted(_split(manifest, split), key=lambda e: e.image_id)):
-        f = read_tensor(_feature_path(manifest, e))
+        f = _read_features(e.image_id, _feature_path(manifest, e))
         if row == 0:
             dtype, shape = f.dtype, f.shape
         if f.shape != shape or f.dtype != dtype:
@@ -110,11 +118,25 @@ def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[st
     return {e.image_id: _read_map(maps_dir, e) for e in _split(manifest, split)}
 
 
-def _write_maps(out_dir: Path, maps: dict[str, np.ndarray]) -> None:
-    """One <image_id>.adt tensor file per map, in a directory made for them."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for image_id, values in maps.items():
-        write_tensor(out_dir / f"{image_id}.adt", values)
+def _write_maps(out_dir: Path, pairs) -> None:
+    """Write each (image_id, map) of pairs to out_dir/<image_id>.adt as it arrives; on
+    any exception, remove every file written and every directory made, then re-raise."""
+    made, written = [], []
+    try:
+        for d in reversed((out_dir, *out_dir.parents)):  # each missing one, outermost first
+            if not d.is_dir():
+                d.mkdir()
+                made.append(d)
+        for image_id, values in pairs:
+            written.append(out_dir / f"{image_id}.adt")
+            write_tensor(written[-1], values)
+            del values  # a score map views its whole chunk's distances: free them now
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in reversed(made):
+            d.rmdir()
+        raise
 
 
 def _top_fraction(text: str):
@@ -174,27 +196,28 @@ def cmd_fit_base(args, manifest) -> str:
 
 
 # score answers whole images in chunks of at least this many query rows: enough
-# to keep every CPU busy, few enough that the float64 rows barely move peak RSS
+# to keep every CPU busy, few enough that one chunk's float64 rows barely move peak RSS
 SCORE_CHUNK_ROWS = 16384
 
 
 def cmd_score(args, manifest) -> str:
     tree = synth.load_coreset(args.coreset)
     todo = [(e.image_id, _feature_path(manifest, e)) for e in _split(manifest, args.split)]
-    # every map is computed before --out is made, so a failed score leaves none
-    maps, ids, feats, rows = {}, [], [], 0
-    for n, (image_id, path) in enumerate(todo, 1):
-        f = read_tensor(path)
-        if f.shape[0] != tree.m:
-            raise TensorFormatError(f"{image_id}: feature dim {f.shape[0]} != coreset dim {tree.m}")
-        ids.append(image_id)
-        feats.append(f)
-        rows += math.prod(f.shape[1:])
-        if rows >= SCORE_CHUNK_ROWS or n == len(todo):
-            maps.update(zip(ids, synth.score_knn(feats, tree)))
-            ids, feats, rows = [], [], 0
+
+    def maps():  # a chunk is read only once the writer has taken the previous chunk's maps
+        ids, feats, rows = [], [], 0
+        for n, (image_id, path) in enumerate(todo, 1):
+            f = _read_features(image_id, path)
+            if len(f) != tree.m:
+                raise TensorFormatError(f"{image_id}: feature dim {len(f)} != coreset dim {tree.m}")
+            ids.append(image_id)
+            feats.append(f)
+            rows += math.prod(f.shape[1:])
+            if rows >= SCORE_CHUNK_ROWS or n == len(todo):
+                yield from zip(ids, synth.score_knn(feats, tree))
+                ids, feats, rows = [], [], 0
     out_dir = Path(args.out)
-    _write_maps(out_dir, maps)
+    _write_maps(out_dir, maps())
     return f"scored {len(todo)} images -> {out_dir}"
 
 
@@ -257,15 +280,16 @@ def cmd_align(args, manifest) -> str:
 
     if args.mode == "regressor":
         def scale_of(image_id):
-            return heads.predict_stats(model, read_tensor(paths[image_id]))
+            return heads.predict_stats(model, _read_features(image_id, paths[image_id]))
     else:
         class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
-                    else lambda image_id: heads.predict_class(model, read_tensor(paths[image_id])))
+                    else lambda image_id: heads.predict_class(
+                        model, _read_features(image_id, paths[image_id])))
         scale_of = align_mod.scale_by_class(scales, class_of)
     aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
-    _write_maps(out_dir, aligned)
+    _write_maps(out_dir, aligned.items())
     return f"aligned {len(aligned)} maps ({args.mode}) -> {out_dir}"
 
 

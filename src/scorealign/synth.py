@@ -204,18 +204,17 @@ def fit_coreset(images: Iterable[np.ndarray], m_per_image: int, seed: int = 0) -
 
 def score_knn(features: Sequence[np.ndarray], tree: cKDTree) -> list[np.ndarray]:
     """Per-location Euclidean distance to the nearest memory-bank point: one [H, W]
-    map per [D, H, W] tensor, D the tree's dim; grids may differ. All rows go to
-    one tree query on every CPU. Each row is answered on its own, so the maps
-    are byte-identical to one single-threaded query per image."""
-    rows, shapes = [], []
-    for f in features:
-        feats = np.asarray(f, dtype=np.float64)
-        d, h, w = feats.shape
-        rows.append(feats.reshape(d, h * w).T)
-        shapes.append((h, w))
-    dist, _ = tree.query(np.concatenate(rows), workers=-1)
-    ends = np.cumsum([h * w for h, w in shapes])[:-1]
-    return [part.reshape(shape) for part, shape in zip(np.split(dist, ends), shapes)]
+    map per [D, H, W] tensor, D the tree's dim; grids may differ. All rows are cast
+    into one float64 [rows, D] buffer, the only copy, for one tree query on every
+    CPU. Each row is answered on its own, so the maps are byte-identical to one
+    single-threaded query per image."""
+    shapes = [f.shape[1:] for f in features]
+    ends = np.cumsum([h * w for h, w in shapes])
+    rows = np.empty((ends[-1], tree.m), dtype=np.float64)
+    for f, end, (h, w) in zip(features, ends, shapes):
+        rows[end - h * w:end] = f.reshape(-1, h * w).T
+    dist, _ = tree.query(rows, workers=-1)
+    return [part.reshape(shape) for part, shape in zip(np.split(dist, ends[:-1]), shapes)]
 
 
 def save_coreset(points: np.ndarray, out_dir) -> None:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import filecmp
 import json
 import operator
@@ -512,7 +513,8 @@ class TestExitCodes:
 
     def test_score_failing_in_its_last_chunk_leaves_no_out(
             self, pipeline, tmp_path, monkeypatch, capsys):
-        """score writes no map until every chunk is scored."""
+        """A feature file that fails in score's last chunk removes the maps the
+        earlier chunks wrote, and the --out it made for them."""
         chunks = []
         score_knn = synth.score_knn
 
@@ -535,6 +537,47 @@ class TestExitCodes:
         assert str(corrupt) in capsys.readouterr().err
         assert chunks == [5] * (len(json.loads(manifest.read_text())["images"]) // 5)
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["a/b/maps", "a/../maps", "maps"],
+                             ids=["missing-parents", "through-missing-parent", "existing"])
+    @pytest.mark.parametrize("fails", ["read", "write"])
+    def test_failed_score_removes_what_it_wrote_and_made(
+            self, pipeline, tmp_path, monkeypatch, capsys, fails, out):
+        """score fails in its last chunk, reading the last image or writing its map
+        (a full disk), after the earlier chunks' maps are written: it removes every
+        file it wrote and every directory it made, and leaves what was there."""
+        monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", 300)  # 5 of the fixture's 8x8 images
+        man = read_manifest(pipeline / "data" / "manifest.json")
+        last = man.images[-1].image_id
+        corrupt = tmp_path / "corrupt.adt"
+        corrupt.write_bytes(b"ADT1garbage")
+        data = pipeline / "data"
+        if fails == "read":
+            data = _manifest_copy(pipeline, tmp_path / "data", lambda doc: operator.setitem(
+                doc["images"][-1], "feature_path", str(corrupt))).parent
+        writes = []
+
+        def disk_full_at_last(path, values):
+            writes.append(Path(path).name)
+            if fails == "write" and Path(path).name == f"{last}.adt":
+                Path(path).write_bytes(b"ADT1")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_tensor(path, values)
+        monkeypatch.setattr(cli, "write_tensor", disk_full_at_last)
+        if out == "maps":
+            (tmp_path / "maps").mkdir()
+            (tmp_path / "maps" / "notes.txt").write_text("kept")
+
+        def state():  # every file's bytes and every directory under tmp_path
+            return _tree_bytes(tmp_path), sorted(p for p in tmp_path.rglob("*") if p.is_dir())
+        before = state()
+        assert main(["score", "--data", str(data), "--coreset", str(pipeline / "coreset"),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert (str(corrupt) if fails == "read" else "No space left on device") in err
+        # 72 images: 14 chunks of 5 are written before the last chunk of 2 is read
+        assert len(writes) == {"read": 70, "write": 72}[fails]
+        assert state() == before
 
     @pytest.mark.parametrize("argv,split", [
         (["stats", "--maps", "{root}/maps"], "train"),
@@ -1123,6 +1166,33 @@ class TestTrainStack:
         assert f"error: {last.image_id}: {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,split", [
+        (["score", "--coreset", "{root}/coreset", "--split", "test"], "test"),
+        (["fit-base"], "train"),
+        (["train-head", "--mode", "classifier", "--iterations", "1"], "train"),
+        (["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
+         "test"),
+    ], ids=["score", "fit-base", "train-head", "align"])
+    def test_features_that_are_not_3d_are_data_error(
+            self, pipeline, tmp_path, capsys, argv, split):
+        """A (4, 16) feature file for the split's first image exits 2 naming the
+        image and the shape, and leaves no --out."""
+        first = sorted(read_manifest(pipeline / "data" / "manifest.json").split(split),
+                       key=lambda e: e.image_id)[0]
+        flat = tmp_path / "flat.adt"
+        write_tensor(flat, np.ones((4, 16), dtype=np.float32))
+
+        def edit(doc):
+            rec = next(r for r in doc["images"] if r["image_id"] == first.image_id)
+            rec["feature_path"] = str(flat)
+        _manifest_copy(pipeline, tmp_path / "data", edit)
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(tmp_path / "data"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {first.image_id}: features of shape (4, 16), not [C, H, W]\n")
+        assert not out.exists()
+
     def test_train_head_peak_memory_is_the_stack(self, tmp_path):
         data, _ = _stack_data(tmp_path)
         peak = _peak_bytes(["train-head", "--data", data, "--mode", "classifier",
@@ -1147,6 +1217,17 @@ class TestTrainStack:
         # ~0.3x: the float64 coreset (16 of 256 locations, 0.125x), its float32
         # chunks and one image at a time; the train stack alone would be 1x
         assert peak < 0.5 * STACK_BYTES
+
+    def test_score_holds_one_chunk_not_the_split(self, tmp_path):
+        data, _ = _stack_data(tmp_path)
+        coreset = str(tmp_path / "coreset")
+        assert main(["fit-base", "--data", data, "--out", coreset]) == 0
+        peak = _peak_bytes(["score", "--data", data, "--coreset", coreset, "--split", "train",
+                            "--out", str(tmp_path / "maps")])
+        # ~1.45x: one chunk of 64 images as float32 features (0.33x) and float64
+        # rows (0.64x), its distances and the coreset; holding the split's maps
+        # and a float64 copy of each chunk's images as well was ~2.9x
+        assert peak < 2.0 * STACK_BYTES
 
 
 class TestGenCommand:

@@ -91,17 +91,13 @@ def variant_scale(variant: str, u: float, second: float) -> Scale:
     return u, u + 3.0 * max(second, 0.0)
 
 
-def class_scales(stats: Sequence[ClassStats], variant: str = "meanmax") -> dict[int, Scale]:
-    """Each class's (u, gamma) under the variant, from its fitted (u, gamma)
-    or (u, sigma)."""
-    return {s.class_id: variant_scale(variant, s.u, s.gamma if variant == "meanmax" else s.sigma)
-            for s in stats}
-
-
-def scale_by_class(scales: Mapping[int, Scale],
+def scale_by_class(stats: Sequence[ClassStats], variant: str,
                    class_of: Callable[[str], Optional[int]]) -> Callable[[str], Scale]:
-    """Per-image (u, gamma) of the class `class_of` gives the image: its
-    label (oracle) or the classifier's prediction."""
+    """Per-image (u, gamma) under the variant, from the fitted stats of the class
+    `class_of` gives the image: its label (oracle) or the classifier's prediction."""
+    scales = {s.class_id: variant_scale(variant, s.u, s.gamma if variant == "meanmax" else s.sigma)
+              for s in stats}
+
     def scale_of(image_id: str) -> Scale:
         cid = class_of(image_id)
         if cid not in scales:

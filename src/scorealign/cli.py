@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import align as align_mod
-from . import heads, metrics, net, synth
+from . import heads, metrics, net, synth, tensorio
 from .tensorio import (
     DatasetManifest,
     ImageEntry,
@@ -119,8 +119,9 @@ def _load_maps(manifest: DatasetManifest, maps_dir: Path, split: str) -> dict[st
 
 
 def _write_maps(out_dir: Path, pairs) -> None:
-    """Write each (image_id, map) of pairs to out_dir/<image_id>.adt as it arrives; on
-    any exception, remove every file written and every directory made, then re-raise."""
+    """Write each (image_id, map) of pairs to out_dir/<image_id>.adt.tmp as it arrives and
+    rename them all onto <image_id>.adt after the last; on any exception, remove every
+    temporary file and every directory made, then re-raise: out_dir keeps what it held."""
     made, written = [], []
     try:
         for d in reversed((out_dir, *out_dir.parents)):  # each missing one, outermost first
@@ -128,12 +129,15 @@ def _write_maps(out_dir: Path, pairs) -> None:
                 d.mkdir()
                 made.append(d)
         for image_id, values in pairs:
-            written.append(out_dir / f"{image_id}.adt")
+            # a str, not a Path: pathlib interns every name it parses, and these are used once
+            written.append(os.path.join(out_dir, f"{image_id}.adt.tmp"))
             write_tensor(written[-1], values)
             del values  # a score map views its whole chunk's distances: free them now
+        for path in written:
+            os.replace(path, path.removesuffix(".tmp"))
     except BaseException:
         for path in written:
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
         for d in reversed(made):
             d.rmdir()
         raise
@@ -273,8 +277,7 @@ def cmd_align(args, manifest) -> str:
     if args.mode == "oracle" and any(e.class_id is None for e in entries):
         raise ManifestError("align --mode oracle needs class_ids in the manifest")
     model = heads.load_checkpoint(args.model) if "model" in needs else None
-    if "stats" in needs:
-        scales = align_mod.class_scales(align_mod.read_stats_csv(args.stats), args.variant)
+    stats = align_mod.read_stats_csv(args.stats) if "stats" in needs else None
     # paths resolved up front; each image's features are read when its map is aligned
     paths = {e.image_id: _feature_path(manifest, e) for e in entries} if "model" in needs else {}
 
@@ -285,7 +288,7 @@ def cmd_align(args, manifest) -> str:
         class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
                     else lambda image_id: heads.predict_class(
                         model, _read_features(image_id, paths[image_id])))
-        scale_of = align_mod.scale_by_class(scales, class_of)
+        scale_of = align_mod.scale_by_class(stats, args.variant, class_of)
     aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
@@ -317,7 +320,7 @@ def cmd_report(args, manifest) -> str:
     edges = np.histogram_bin_edges(scores, bins=args.bins)
     hist = []
     for cid in sorted({r[1] for r in rows if r[1] is not None}) or [None]:
-        for label in ("normal", "anomalous"):
+        for label in tensorio.VALID_LABELS:
             sel = np.array([r[3] for r in rows
                             if (cid is None or r[1] == cid) and r[2] == label])
             counts, _ = np.histogram(sel, bins=edges)
@@ -435,7 +438,7 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "score", cmd_score, "nearest-neighbor score maps of a split",
                     "data", "coreset", "out")
-    p.add_argument("--split", choices=("train", "test", "all"), default="all")
+    p.add_argument("--split", choices=(*tensorio.VALID_SPLITS, "all"), default="all")
 
     _subcommand(sub, "stats", cmd_stats, "fit per-class score statistics on the train split",
                 "data", "maps", "out")
@@ -449,7 +452,7 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "align", cmd_align, "calibrate the test split's score maps",
                     "data", "maps", "out")
-    p.add_argument("--mode", choices=("oracle", "classifier", "regressor"), required=True)
+    p.add_argument("--mode", choices=tuple(_ALIGN_FLAGS), required=True)
     p.add_argument("--stats", help="class-stats CSV (oracle / classifier modes)")
     p.add_argument("--model", help="head checkpoint dir (classifier / regressor modes)")
     p.add_argument("--variant", choices=align_mod.VARIANTS, default="meanmax",

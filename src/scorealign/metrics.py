@@ -13,7 +13,7 @@ transform of all scores leaves them bitwise unchanged. Labels must be 0 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import ceil
 from typing import Mapping, Optional, Sequence
 
@@ -200,20 +200,11 @@ def evaluate(
 
 
 def macro_average(per_class: Sequence[MetricsReport]) -> MetricsReport:
-    """Unweighted mean of per-class reports (the model-unified protocol)."""
-
-    def mean_of(attr):
-        vals = [getattr(r, attr) for r in per_class]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean(vals))
-
-    return MetricsReport(
-        scope="macro",
-        i_auroc=mean_of("i_auroc"),
-        i_ap=mean_of("i_ap"),
-        p_auroc=mean_of("p_auroc"),
-        p_ap=mean_of("p_ap"),
-        n_images=sum(r.n_images for r in per_class),
-        n_pixels=sum(r.n_pixels for r in per_class),
-    )
+    """Unweighted mean of per-class reports (the model-unified protocol): each
+    metric's mean, None when a class lacks it, and each count's sum."""
+    row = {}
+    for f in fields(MetricsReport)[1:]:
+        vals = [getattr(r, f.name) for r in per_class]
+        row[f.name] = (sum(vals) if f.name.startswith("n_") else
+                       None if None in vals else float(np.mean(vals)))
+    return MetricsReport("macro", **row)

@@ -78,9 +78,7 @@ class SynthConfig:
         lo, hi = self.area_min, self.area_max
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(f"need 0 < area_min <= area_max < 1, got {lo} and {hi}")
-        # the same inclusive area-fraction test _sample_rectangle applies to a draw
-        if not any(lo <= rh * rw / (h * w) <= hi
-                   for rh in range(1, h + 1) for rw in range(1, w + 1)):
+        if not any(_fitting_sizes(h, w, lo, hi)):
             raise ValueError(f"no rectangle on the {h} x {w} grid has an area fraction "
                              f"between area_min {lo} and area_max {hi}")
         if min(self.train_normal, self.test_normal, self.test_anomalous) < 1:
@@ -91,18 +89,33 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _area_fits(rh, rw, h, w, lo, hi) -> bool:
+    """The one anomaly-area test: rh x rw covers a fraction in [lo, hi] of h x w."""
+    return lo <= rh * rw / (h * w) <= hi
+
+
+def _fitting_sizes(h, w, lo, hi):
+    """Each (rh, rw) that passes _area_fits on the h x w grid, rh-major."""
+    return ((rh, rw) for rh in range(1, h + 1) for rw in range(1, w + 1)
+            if _area_fits(rh, rw, h, w, lo, hi))
+
+
 def _sample_rectangle(rng, h, w, lo, hi):
-    """Axis-aligned rectangle whose area fraction is inside [lo, hi]."""
+    """Axis-aligned rectangle whose area fraction is inside [lo, hi]: sized by a drawn
+    fraction, or after 1,000 misses uniformly among the sizes that fit."""
     total = h * w
     for _ in range(1000):
         frac = rng.uniform(lo, hi)
         rh = int(rng.integers(1, h + 1))
         rw = min(w, max(1, round(frac * total / rh)))
-        if lo <= rh * rw / total <= hi:
-            top = int(rng.integers(0, h - rh + 1))
-            left = int(rng.integers(0, w - rw + 1))
-            return top, left, rh, rw
-    raise RuntimeError("could not sample a rectangle inside the area range")
+        if _area_fits(rh, rw, h, w, lo, hi):
+            break
+    else:
+        sizes = list(_fitting_sizes(h, w, lo, hi))
+        rh, rw = sizes[int(rng.integers(len(sizes)))]
+    top = int(rng.integers(0, h - rh + 1))
+    left = int(rng.integers(0, w - rw + 1))
+    return top, left, rh, rw
 
 
 def _make_image(rng, center, spread, cfg, anomalous):
@@ -139,12 +152,9 @@ def generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
     spreads = np.exp(master.uniform(log_lo, log_hi, size=cfg.k_classes))
 
     entries = []
-    image_index = 0
 
     def emit(class_id, split, label, tag, i, anomalous_content):
-        nonlocal image_index
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, image_index]))
-        image_index += 1
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, len(entries)]))
         feats, mask = _make_image(rng, centers[class_id], spreads[class_id], cfg,
                                   anomalous_content)
         image_id = f"c{class_id:02d}_{tag}_{i:04d}"

@@ -12,7 +12,6 @@ from scorealign.align import (
     ClassStats,
     DegenerateScaleWarning,
     align_maps,
-    class_scales,
     fit_class_stats,
     normalize_meanmax,
     read_stats_csv,
@@ -34,8 +33,8 @@ class TestScoreMap:
         (st64,) = fit_class_stats({0: list(maps64.values())})
         assert st32 == st64
         per_image = {image_id: (0.1 * n, 2.0 + n) for n, image_id in enumerate(maps32)}
-        for scale_of in (scale_by_class(class_scales([st64], "meanmax"), lambda _: 0),
-                         scale_by_class(class_scales([st64], "meanstd"), lambda _: 0),
+        for scale_of in (scale_by_class([st64], "meanmax", lambda _: 0),
+                         scale_by_class([st64], "meanstd", lambda _: 0),
                          per_image.__getitem__):
             a, b = align_maps(maps32, scale_of), align_maps(maps64, scale_of)
             assert list(a) == list(maps32)
@@ -87,7 +86,7 @@ class TestNormalize:
             u = float(rng.normal())
             sigma = float(rng.uniform(0.0, 5.0))
             stats = [ClassStats(0, u, 0.0, sigma, 1, values.size)]
-            scale_of = scale_by_class(class_scales(stats, "meanstd"), lambda _: 0)
+            scale_of = scale_by_class(stats, "meanstd", lambda _: 0)
             a = align_maps({"x": values}, scale_of)["x"]
             b = normalize_meanmax(values, u, u + 3.0 * sigma)
             assert a.tobytes() == b.tobytes()
@@ -104,7 +103,7 @@ def _fit(maps_by_class):
 
 def _oracle_align(maps, class_ids, stats, variant="meanmax"):
     """Label-driven alignment: each map takes its labelled class's (u, gamma)."""
-    return align_maps(maps, scale_by_class(class_scales(stats, variant), class_ids.get))
+    return align_maps(maps, scale_by_class(stats, variant, class_ids.get))
 
 
 class TestOracleAlignment:
@@ -188,11 +187,11 @@ class TestStatsCsv:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_negative_sigma_rejected(self, tmp_path, variant):
         """A negative sigma is rejected as the file is read, whether or not
-        the variant uses sigma."""
+        the variant that later uses the stats reads sigma."""
         path = tmp_path / "stats.csv"
         write_csv(path, columns(ClassStats), [astuple(ClassStats(0, 0.0, 1.0, -0.3, 1, 2))])
         with pytest.raises(ValueError, match=r"stats\.csv:2: sigma must be >= 0, got -0\.3"):
-            class_scales(read_stats_csv(path), variant)
+            scale_by_class(read_stats_csv(path), variant, lambda _: 0)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "stats.csv"

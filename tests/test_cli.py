@@ -538,14 +538,19 @@ class TestExitCodes:
         assert chunks == [5] * (len(json.loads(manifest.read_text())["images"]) // 5)
         assert not out.exists()
 
-    @pytest.mark.parametrize("out", ["a/b/maps", "a/../maps", "maps"],
-                             ids=["missing-parents", "through-missing-parent", "existing"])
+    @pytest.mark.parametrize("out", ["a/b/maps", "a/../maps", "maps", "scored"],
+                             ids=["missing-parents", "through-missing-parent", "existing",
+                                  "rescore"])
     @pytest.mark.parametrize("fails", ["read", "write"])
     def test_failed_score_removes_what_it_wrote_and_made(
             self, pipeline, tmp_path, monkeypatch, capsys, fails, out):
         """score fails in its last chunk, reading the last image or writing its map
         (a full disk), after the earlier chunks' maps are written: it removes every
-        file it wrote and every directory it made, and leaves what was there."""
+        file it wrote and every directory it made, and leaves what was there, even
+        the maps of an earlier score into the same --out that it overwrote."""
+        if out == "scored":
+            assert main(["score", "--data", str(pipeline / "data"),
+                         "--coreset", str(pipeline / "coreset"), "--out", str(tmp_path / out)]) == 0
         monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", 300)  # 5 of the fixture's 8x8 images
         man = read_manifest(pipeline / "data" / "manifest.json")
         last = man.images[-1].image_id
@@ -559,7 +564,7 @@ class TestExitCodes:
 
         def disk_full_at_last(path, values):
             writes.append(Path(path).name)
-            if fails == "write" and Path(path).name == f"{last}.adt":
+            if fails == "write" and Path(path).name == f"{last}.adt.tmp":
                 Path(path).write_bytes(b"ADT1")
                 raise OSError(errno.ENOSPC, "No space left on device")
             write_tensor(path, values)
@@ -1248,6 +1253,20 @@ class TestGenCommand:
             del cfg["config"], cfg["out"]
         assert recorded[0] == recorded[1]
         assert (recorded[0]["k_classes"], recorded[0]["seed"], recorded[0]["feat_dim"]) == (2, 1, 3)
+
+    def test_rarely_drawn_area_range_still_generates(self, tmp_path):
+        """On a 1000 x 1 grid only a 1 x 1 rectangle covers area fraction 0.001,
+        and a draw finds it once in 1,000 tries: after 1,000 misses the size is
+        drawn from those that fit, so gen exits 0 and each anomaly is one cell."""
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), "--grid-h", "1000", "--grid-w", "1",
+                     "--area-min", "0.001", "--area-max", "0.001", "--k-classes", "2",
+                     "--train-normal", "2", "--test-normal", "1", "--test-anomalous", "3"]) == 0
+        man = read_manifest(out / "manifest.json")
+        masks = [read_tensor(man.resolve(e.mask_path)) for e in man.images
+                 if e.label == "anomalous"]
+        assert len(masks) == 6
+        assert [float(m.sum()) for m in masks] == [1.0] * 6
 
 
 def _drop_class_ids(*splits):

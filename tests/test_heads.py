@@ -9,7 +9,6 @@ from scorealign.align import (
     ClassStats,
     DegenerateScaleWarning,
     align_maps,
-    class_scales,
     normalize_meanmax,
     scale_by_class,
 )
@@ -379,8 +378,7 @@ def _regressor_scale_of(model, features):
 
 
 def _classifier_scale_of(model, stats, features):
-    return scale_by_class(class_scales(stats),
-                          lambda image_id: predict_class(model, features))
+    return scale_by_class(stats, "meanmax", lambda image_id: predict_class(model, features))
 
 
 class TestCalibrate:

@@ -278,17 +278,17 @@ def cmd_align(args, manifest) -> str:
         raise ManifestError("align --mode oracle needs class_ids in the manifest")
     model = heads.load_checkpoint(args.model) if "model" in needs else None
     stats = align_mod.read_stats_csv(args.stats) if "stats" in needs else None
-    # paths resolved up front; each image's features are read when its map is aligned
-    paths = {e.image_id: _feature_path(manifest, e) for e in entries} if "model" in needs else {}
-
-    if args.mode == "regressor":
-        def scale_of(image_id):
-            return heads.predict_stats(model, _read_features(image_id, paths[image_id]))
+    # answer(image_id): the image's class, or a regressor's (u, gamma) for it
+    if model is None:
+        answer = {e.image_id: e.class_id for e in entries}.get
     else:
-        class_of = ({e.image_id: e.class_id for e in entries}.get if args.mode == "oracle"
-                    else lambda image_id: heads.predict_class(
-                        model, _read_features(image_id, paths[image_id])))
-        scale_of = align_mod.scale_by_class(stats, args.variant, class_of)
+        predict = heads.predict_class if args.mode == "classifier" else heads.predict_stats
+        # paths resolved up front; each image's features are read when its map is aligned
+        paths = {e.image_id: _feature_path(manifest, e) for e in entries}
+
+        def answer(image_id):
+            return predict(model, _read_features(image_id, paths[image_id]))
+    scale_of = answer if stats is None else align_mod.scale_by_class(stats, args.variant, answer)
     aligned = align_mod.align_maps(maps, scale_of)
 
     out_dir = Path(args.out)
@@ -376,8 +376,6 @@ def cmd_ablate(args, manifest) -> str:
     raw = {tf: metrics.evaluate(manifest, test_maps, top_fraction=tf)[0]
            for tf in ABLATION_TOP_FRACTIONS}
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     cells = [(structure, dropout) for structure in heads.STRUCTURES
              for dropout in ABLATION_DROPOUTS]
     settings = {"hidden_dim": args.hidden_dim, "iterations": args.iterations, "seed": args.seed}
@@ -408,6 +406,8 @@ def cmd_ablate(args, manifest) -> str:
                   f"cada i_auroc {rows[-1][4]:.4f} (raw {rows[-1][3]:.4f})")
     finally:
         pool.shutdown(cancel_futures=True)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
     return f"ablation grid ({len(rows)} rows) -> {out}"

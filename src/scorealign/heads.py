@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import net
 from .align import VARIANTS, map_pair, variant_scale
-from .tensorio import check_fields, columns, read_json, read_tensor, write_json, write_tensor
+from .tensorio import check_fields, read_json, read_tensor, write_json, write_tensor
 
 # head structure name -> (3x3 conv layers, linear layers)
 STRUCTURES = {
@@ -132,18 +132,25 @@ def build_head(cfg: HeadConfig, in_channels: int, out_dim: int, rng) -> net.Netw
 
 @dataclass
 class HeadModel:
+    """A trained head: head.json's keys in file order, each typed as its JSON value
+    (tensorio.check_fields), and the network whose parameters are the param_*.adt files."""
+
     config: HeadConfig
-    network: net.Network
+    network: InitVar[net.Network]
+    # the _NORM_ARRAYS, float64 arrays in memory and lists of floats in head.json:
     # affine de-normalization applied to regressor outputs (identity for classifier)
-    target_offset: np.ndarray = None
-    target_scale: np.ndarray = None
+    target_offset: list[float]
+    target_scale: list[float]
     # per-channel feature standardization fitted on the training set
-    input_offset: np.ndarray = None
-    input_scale: np.ndarray = None
-    loss_trace: list = field(default_factory=list)
-    holdout_accuracy: Optional[float] = None
+    input_offset: list[float]
+    input_scale: list[float]
+    loss_trace: list[float]
+    holdout_accuracy: Optional[float]
     # classifier output index -> class id; None exactly for a regressor
-    class_labels: Optional[list] = None
+    class_labels: Optional[list[int]]
+
+    def __post_init__(self, network):
+        self.network = network
 
 
 def standardize(x: np.ndarray, rows: Sequence[int]):
@@ -181,7 +188,7 @@ def _fit(
     optim = net.SGD(LR, MOMENTUM, WEIGHT_DECAY)
 
     model = HeadModel(config=head_cfg, network=network, input_offset=in_offset,
-                      input_scale=in_scale, **model_fields)
+                      input_scale=in_scale, loss_trace=[], holdout_accuracy=None, **model_fields)
     params = network.parameters()
     iterations = train_cfg.iterations
     tail_start = iterations - int(AVG_FRAC * iterations)
@@ -235,7 +242,7 @@ def train_regressor(
         return float(loss_elems.sum(axis=1).mean()), grad
 
     return _fit(x, np.arange(len(x)), head_cfg, train_cfg, 2, batch_loss,
-                target_offset=t_offset, target_scale=t_scale)
+                target_offset=t_offset, target_scale=t_scale, class_labels=None)
 
 
 def train_classifier(
@@ -318,43 +325,25 @@ def predict_class(model: HeadModel, features: np.ndarray) -> int:
 _NORM_ARRAYS = ("target_offset", "target_scale", "input_offset", "input_scale")
 
 
-@dataclass
-class CheckpointHeader:
-    """head.json's keys in file order, each with the type of its JSON value
-    (tensorio.check_fields). Every key must be present; a HeadModel field of
-    the same name is read back from it."""
-
-    config: HeadConfig
-    target_offset: list[float]
-    target_scale: list[float]
-    input_offset: list[float]
-    input_scale: list[float]
-    loss_trace: list[float]
-    holdout_accuracy: Optional[float]
-    class_labels: Optional[list[int]]
-
-
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
-    """Write head.json (a CheckpointHeader) plus one ADT1 tensor file per parameter."""
+    """Write head.json (the model's fields) plus one ADT1 tensor file per parameter."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    values = {"config": asdict(model.config),
-              **{name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS}}
-    write_json(ckpt_dir / "head.json", {key: values[key] if key in values else getattr(model, key)
-                                        for key in columns(CheckpointHeader)})
+    write_json(ckpt_dir / "head.json", {**asdict(model), **{
+        name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS}})
     for i, p in enumerate(model.network.parameters()):
         write_tensor(ckpt_dir / f"param_{i:03d}.adt", p.value)
 
 
 def load_checkpoint(ckpt_dir) -> HeadModel:
     """The HeadModel save_checkpoint wrote; its input channels are the entries
-    of input_offset. A head.json that is no CheckpointHeader, whose sizes do
+    of input_offset. A head.json whose keys are not HeadModel's fields, whose sizes do
     not fit the head its config builds, or with a scale entry not > 0, is a
     ValueError naming the file and the key."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "head.json"
     header = read_json(path)
-    check_fields(path, header, CheckpointHeader)
+    check_fields(path, header, HeadModel)
     in_channels, class_labels = len(header["input_offset"]), header["class_labels"]
     if in_channels < 1:
         raise ValueError(f"{path}: input_offset must be a non-empty list of numbers, got []")
@@ -380,6 +369,5 @@ def load_checkpoint(ckpt_dir) -> HeadModel:
         if value.shape != p.value.shape:
             raise ValueError(f"{path}: param {i} has shape {value.shape}, not {p.value.shape}")
         p.value[...] = value
-    kept = {key: header[key] for key in columns(HeadModel) if key in header}
-    return HeadModel(**{**kept, "config": cfg, "network": network,
+    return HeadModel(**{**header, "config": cfg, "network": network,
                         **{name: np.array(header[name]) for name in _NORM_ARRAYS}})

@@ -13,7 +13,7 @@ data order, hyperparameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -25,13 +25,14 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class Param:
+    """A trainable array with its gradient and its SGD momentum, both zeros at first."""
+
     value: np.ndarray
-    grad: np.ndarray = None
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value)
+        self.velocity = np.zeros_like(self.value)
 
 
 def _kaiming_uniform(rng, shape, fan_in):
@@ -78,10 +79,10 @@ class Conv3x3(Layer):
     def forward(self, x, mode="eval", rng=None):
         n, c, h, w = x.shape
         self._windows = None  # no step holds two sets of windows
-        self._xp = np.zeros((c, n, h + 2, w + 2))
-        self._xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+        xp = np.zeros((c, n, h + 2, w + 2))
+        xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
         # the 9 [C, N*H*W] windows of the padded copy, in (di, dj) order
-        self._windows = [(di, dj, self._xp[:, :, di : di + h, dj : dj + w].reshape(c, -1))
+        self._windows = [(di, dj, xp[:, :, di : di + h, dj : dj + w].reshape(c, -1))
                          for di in range(3) for dj in range(3)]
         y = np.zeros((self.w.value.shape[0], n * h * w))
         for di, dj, window in self._windows:
@@ -97,9 +98,9 @@ class Conv3x3(Layer):
 
     def backward(self, grad_out):
         self.param_backward(grad_out)
-        xp, (n, o, h, w) = self._xp, grad_out.shape
+        n, o, h, w = grad_out.shape
         g_cols = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # [O, N*H*W]
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((self.w.value.shape[1], n, h + 2, w + 2))
         for di in range(3):
             for dj in range(3):
                 dxp[:, :, di : di + h, dj : dj + w] += (
@@ -242,25 +243,20 @@ def cross_entropy(logits, true_class):
 
 @dataclass
 class SGD:
-    """SGD with momentum and coupled L2 weight decay."""
+    """SGD with momentum and coupled L2 weight decay; each Param holds its own velocity."""
 
     lr: float
     momentum: float
     weight_decay: float
-    _velocity: dict = field(default_factory=dict)
 
     def step(self, params: list[Param]):
         for p in params:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericalError("non-finite gradient in sgd_step")
             g = p.grad + self.weight_decay * p.value
-            v = self._velocity.get(id(p))
-            if v is None:
-                v = np.zeros_like(p.value)
-                self._velocity[id(p)] = v
-            v *= self.momentum
-            v += g
-            p.value -= self.lr * v
+            p.velocity *= self.momentum
+            p.velocity += g
+            p.value -= self.lr * p.velocity
             p.grad[...] = 0.0
 
 

@@ -29,7 +29,7 @@ from scorealign.heads import (
     save_checkpoint,
     train_regressor,
 )
-from scorealign.tensorio import csv_row, read_manifest, read_tensor, write_tensor
+from scorealign.tensorio import columns, csv_row, read_manifest, read_tensor, write_tensor
 
 GEN_ARGS = ["--k-classes", "3", "--grid-h", "8", "--grid-w", "8",
             "--feat-dim", "4", "--train-normal", "12", "--test-normal", "6",
@@ -697,7 +697,7 @@ class TestExitCodes:
         assert not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("edit,named", [
-        (lambda header: [header], "head.json: expected a JSON object of CheckpointHeader fields"),
+        (lambda header: [header], "head.json: expected a JSON object of HeadModel fields"),
         (lambda header: {**header, "target_offset": ["a", "b"]},
          'head.json: target_offset[0] must be a number, got "a"'),
         # one offset would make a 1-channel head, which the 4-channel scale does not fit
@@ -727,15 +727,17 @@ class TestExitCodes:
         # the derived keys a checkpoint written before they were dropped carries
         (lambda header: {**header, "n_params": 4,
                          "param_shapes": [[16, 4], [16], [2, 16], [2]]},
-         "head.json: unknown CheckpointHeader keys ['n_params', 'param_shapes']"),
+         "head.json: unknown HeadModel keys ['n_params', 'param_shapes']"),
         # the channel count and seed a checkpoint written before they were dropped carries
         (lambda header: {**header, "in_channels": 4, "seed": 0},
-         "head.json: unknown CheckpointHeader keys ['in_channels', 'seed']"),
+         "head.json: unknown HeadModel keys ['in_channels', 'seed']"),
+        # the network is built from config and the param files, never read from head.json
+        (lambda header: {**header, "network": {}}, "head.json: unknown HeadModel keys ['network']"),
     ], ids=["json-list", "target-offset-str", "input-offset-short", "input-offset-empty",
             "class-labels-int", "class-labels-one", "param-shape", "loss-trace-int",
             "loss-trace-str-entry", "holdout-str", "input-scale-nan", "input-scale-0",
             "target-scale-inf", "input-offset-400-digits", "old-param-keys",
-            "old-channel-seed-keys"])
+            "old-channel-seed-keys", "network-key"])
     def test_align_with_malformed_head_json_is_data_error(
             self, pipeline, tmp_path, capsys, edit, named):
         ckpt = tmp_path / "reg"
@@ -763,6 +765,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("ckpt", ["reg", "clf"])
     def test_head_json_keys_in_file_order(self, pipeline, ckpt):
         assert list(json.loads((pipeline / ckpt / "head.json").read_text())) == HEAD_JSON_KEYS
+
+    def test_head_json_keys_are_head_model_fields(self):
+        assert HEAD_JSON_KEYS == columns(HeadModel)
 
     @pytest.mark.parametrize("key", HEAD_JSON_KEYS)
     @pytest.mark.parametrize("ckpt,flags", [
@@ -923,7 +928,7 @@ class TestExitCodes:
         cfg = HeadConfig(structure="1conv+2lin", hidden_dim=4)
         save_checkpoint(HeadModel(cfg, build_head(cfg, 8, out_dim, np.random.default_rng(0)),
                                   np.zeros(out_dim), np.ones(out_dim), np.zeros(8), np.ones(8),
-                                  class_labels=class_labels), tmp_path / "head")
+                                  [], None, class_labels), tmp_path / "head")
         out = tmp_path / "aligned"
         stats = ["--stats", str(pipeline / "stats.csv")] if class_labels else []
         assert main(["align", "--data", str(pipeline / "data"), "--maps", str(pipeline / "maps"),
@@ -1064,11 +1069,11 @@ class TestAblateCommand:
     ], ids=["hidden-dim", "iterations"])
     def test_failed_cell_is_data_error_leaving_no_csv_or_worker(
             self, pipeline, tmp_path, capsys, flags, message):
-        out = tmp_path / "ablation.csv"
+        out = tmp_path / "new" / "ablation.csv"
         assert main(["ablate", "--data", str(pipeline / "data"),
                      "--maps", str(pipeline / "maps"), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert not out.parent.exists()
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
     @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])

@@ -67,7 +67,7 @@ def _const_model(out_vals, in_channels=DIM, target="meanmax", class_labels=None)
         config=cfg, network=network,
         target_offset=np.zeros(out_dim), target_scale=np.ones(out_dim),
         input_offset=np.zeros(in_channels), input_scale=np.ones(in_channels),
-        class_labels=class_labels,
+        loss_trace=[], holdout_accuracy=None, class_labels=class_labels,
     )
 
 
@@ -123,8 +123,9 @@ class TestStandardize:
 
         # a training batch (one buffer, larger than the batch) and a one-image
         # prediction standardize each image as the reference does
-        model = HeadModel(config=HeadConfig(), network=_Echo(), input_offset=offset,
-                          input_scale=scale)
+        model = HeadModel(config=HeadConfig(), network=_Echo(), target_offset=np.zeros(2),
+                          target_scale=np.ones(2), input_offset=offset, input_scale=scale,
+                          loss_trace=[], holdout_accuracy=None, class_labels=None)
         buf = np.empty((len(rows) + 1, *shape[1:]))
         batch = heads._forward(model, heads._gather(x, np.array(rows), buf))
         for row, got in zip(rows, batch):
@@ -279,7 +280,7 @@ class TestRegressor:
         for head_channels, channels in ((2, 1), (2, 4), (1, 4)):
             network = build_head(cfg, head_channels, 2, np.random.default_rng(0))
             model = HeadModel(cfg, network, np.zeros(2), np.ones(2), np.zeros(head_channels),
-                              np.ones(head_channels))
+                              np.ones(head_channels), [], None, None)
             with pytest.raises(ValueError, match=f"features have {channels} channels, "
                                                  f"the head takes {head_channels}"):
                 predict_stats(model, np.zeros((channels, *GRID), dtype=np.float32))

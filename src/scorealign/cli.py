@@ -55,12 +55,6 @@ def _write_run_config(out: Path, args: argparse.Namespace) -> None:
     write_json(out, {k: v for k, v in sorted(vars(args).items()) if k != "func"})
 
 
-def _feature_path(manifest: DatasetManifest, e: ImageEntry) -> Path:
-    if e.feature_path is None:
-        raise ManifestError(f"{e.image_id}: no feature_path")
-    return manifest.resolve(e.feature_path)
-
-
 def _split(manifest: DatasetManifest, split: str) -> list[ImageEntry]:
     """The split's entries in manifest order ("all": train, then test); an
     empty split is a ManifestError."""
@@ -73,11 +67,13 @@ def _split(manifest: DatasetManifest, split: str) -> list[ImageEntry]:
     return entries
 
 
-def _read_features(image_id: str, path: Path) -> np.ndarray:
-    """The image's [C, H, W] features; another rank is a TensorFormatError naming both."""
-    f = read_tensor(path)
+def _read_features(manifest: DatasetManifest, e: ImageEntry) -> np.ndarray:
+    """The entry's [C, H, W] features; no feature_path, or another rank, is an error naming it."""
+    if e.feature_path is None:
+        raise ManifestError(f"{e.image_id}: no feature_path")
+    f = read_tensor(manifest.resolve(e.feature_path))
     if f.ndim != 3:
-        raise TensorFormatError(f"{image_id}: features of shape {f.shape}, not [C, H, W]")
+        raise TensorFormatError(f"{e.image_id}: features of shape {f.shape}, not [C, H, W]")
     return f
 
 
@@ -85,7 +81,7 @@ def _read_split(manifest: DatasetManifest, split: str):
     """Yield the split's (entry, features) in id order, one file read at a time;
     a file of another dtype or shape than the first is a TensorFormatError."""
     for row, e in enumerate(sorted(_split(manifest, split), key=lambda e: e.image_id)):
-        f = _read_features(e.image_id, _feature_path(manifest, e))
+        f = _read_features(manifest, e)
         if row == 0:
             dtype, shape = f.dtype, f.shape
         if f.shape != shape or f.dtype != dtype:
@@ -206,36 +202,35 @@ SCORE_CHUNK_ROWS = 16384
 
 def cmd_score(args, manifest) -> str:
     tree = synth.load_coreset(args.coreset)
-    todo = [(e.image_id, _feature_path(manifest, e)) for e in _split(manifest, args.split)]
+    entries = _split(manifest, args.split)
 
     def maps():  # a chunk is read only once the writer has taken the previous chunk's maps
         ids, feats, rows = [], [], 0
-        for n, (image_id, path) in enumerate(todo, 1):
-            f = _read_features(image_id, path)
+        for n, e in enumerate(entries, 1):
+            f = _read_features(manifest, e)
             if len(f) != tree.m:
-                raise TensorFormatError(f"{image_id}: feature dim {len(f)} != coreset dim {tree.m}")
-            ids.append(image_id)
+                raise TensorFormatError(
+                    f"{e.image_id}: feature dim {len(f)} != coreset dim {tree.m}")
+            ids.append(e.image_id)
             feats.append(f)
             rows += math.prod(f.shape[1:])
-            if rows >= SCORE_CHUNK_ROWS or n == len(todo):
+            if rows >= SCORE_CHUNK_ROWS or n == len(entries):
                 yield from zip(ids, synth.score_knn(feats, tree))
                 ids, feats, rows = [], [], 0
     out_dir = Path(args.out)
     _write_maps(out_dir, maps())
-    return f"scored {len(todo)} images -> {out_dir}"
+    return f"scored {len(entries)} images -> {out_dir}"
 
 
 def cmd_stats(args, manifest) -> str:
     train = _split(manifest, "train")
     if any(e.class_id is None for e in train):
         raise ManifestError("stats needs class_ids on every train image")
-    maps = _load_maps(manifest, Path(args.maps), "train")
     by_class: dict[int, list[np.ndarray]] = {}
     for e in train:
-        by_class.setdefault(e.class_id, []).append(maps[e.image_id])
+        by_class.setdefault(e.class_id, []).append(_read_map(Path(args.maps), e))
     stats = align_mod.fit_class_stats(by_class)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, columns(align_mod.ClassStats), map(astuple, stats))
     return f"fitted stats for {len(stats)} classes -> {out}"
 
@@ -283,11 +278,10 @@ def cmd_align(args, manifest) -> str:
         answer = {e.image_id: e.class_id for e in entries}.get
     else:
         predict = heads.predict_class if args.mode == "classifier" else heads.predict_stats
-        # paths resolved up front; each image's features are read when its map is aligned
-        paths = {e.image_id: _feature_path(manifest, e) for e in entries}
+        by_id = {e.image_id: e for e in entries}  # features are read when the map is aligned
 
         def answer(image_id):
-            return predict(model, _read_features(image_id, paths[image_id]))
+            return predict(model, _read_features(manifest, by_id[image_id]))
     scale_of = answer if stats is None else align_mod.scale_by_class(stats, args.variant, answer)
     aligned = align_mod.align_maps(maps, scale_of)
 
@@ -301,19 +295,16 @@ def cmd_eval(args, manifest) -> str:
     masks = {e.image_id: read_tensor(manifest.resolve(e.mask_path))
              for e in manifest.split("test") if e.mask_path is not None}
     reports = metrics.evaluate(manifest, maps, masks, top_fraction=args.top_fraction)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, columns(metrics.MetricsReport), map(astuple, reports))
+    write_csv(args.out, columns(metrics.MetricsReport), map(astuple, reports))
     return "\n".join(csv_row(astuple(r)) for r in reports)
 
 
 def cmd_report(args, manifest) -> str:
-    maps = _load_maps(manifest, Path(args.maps), "test")
+    rows = [(e.image_id, e.class_id, e.label,
+             metrics.image_score(_read_map(Path(args.maps), e), args.top_fraction))
+            for e in _split(manifest, "test")]  # maps before --metrics: errors keep their order
     combined = [[Path(path).stem, *cells] for path in args.metrics or ()
                 for cells in read_csv(path, columns(metrics.MetricsReport))]
-    rows = [(e.image_id, e.class_id, e.label,
-             metrics.image_score(maps[e.image_id], args.top_fraction))
-            for e in manifest.split("test")]
 
     # shared bin edges across classes so per-class histograms are comparable
     scores = np.array([r[3] for r in rows])
@@ -327,9 +318,8 @@ def cmd_report(args, manifest) -> str:
             hist += [(cid, label, left, right, count)
                      for left, right, count in zip(edges[:-1], edges[1:], counts)]
 
-    # every value is computed before --out is made, so a failed report leaves none
+    # every value is computed before the first CSV makes --out, so a failed report leaves none
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "image_scores.csv", ("image_id", "class_id", "label", "image_score"),
               rows)
     write_csv(out_dir / "histograms.csv", ("class_id", "label", "bin_left", "bin_right", "count"),
@@ -357,14 +347,13 @@ def _ablate_cell(manifest, maps_dir, settings, cell) -> dict[str, tuple[float, f
     if not _worker:
         entries, x = _read_stack(manifest, "train")
         _worker.update(x=x, maps=[_read_map(maps_dir, e) for e in entries],
-                       test=_read_stack(manifest, "test"))
+                       test=list(_read_split(manifest, "test")))
     structure, dropout = cell
     head_cfg = heads.HeadConfig(structure=structure, hidden_dim=settings["hidden_dim"],
                                 dropout_rate=dropout)
     train_cfg = heads.TrainConfig(iterations=settings["iterations"], seed=settings["seed"])
     model = heads.train_regressor(_worker["x"], _worker["maps"], head_cfg, train_cfg)
-    test_entries, test_x = _worker["test"]
-    return {e.image_id: heads.predict_stats(model, f) for e, f in zip(test_entries, test_x)}
+    return {e.image_id: heads.predict_stats(model, f) for e, f in _worker["test"]}
 
 
 def cmd_ablate(args, manifest) -> str:
@@ -407,7 +396,6 @@ def cmd_ablate(args, manifest) -> str:
     finally:
         pool.shutdown(cancel_futures=True)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ("structure", "dropout", "top_fraction", "raw_i_auroc", "cada_i_auroc",
                     "raw_i_ap", "cada_i_ap"), rows)
     return f"ablation grid ({len(rows)} rows) -> {out}"

@@ -328,7 +328,6 @@ _NORM_ARRAYS = ("target_offset", "target_scale", "input_offset", "input_scale")
 def save_checkpoint(model: HeadModel, ckpt_dir) -> None:
     """Write head.json (the model's fields) plus one ADT1 tensor file per parameter."""
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     write_json(ckpt_dir / "head.json", {**asdict(model), **{
         name: list(map(float, getattr(model, name))) for name in _NORM_ARRAYS}})
     for i, p in enumerate(model.network.parameters()):

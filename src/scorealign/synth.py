@@ -24,6 +24,7 @@ from scipy.spatial import cKDTree
 from .tensorio import (
     DatasetManifest,
     ImageEntry,
+    TensorFormatError,
     read_tensor,
     write_json,
     write_manifest,
@@ -234,5 +235,10 @@ def save_coreset(points: np.ndarray, out_dir) -> None:
 
 
 def load_coreset(in_dir) -> cKDTree:
-    """The k-d tree over the saved memory bank; score_knn queries it."""
-    return cKDTree(read_tensor(Path(in_dir) / "points.adt"))
+    """The k-d tree over the saved memory bank; score_knn queries it. A points
+    file that is not [M, D] is a TensorFormatError naming it and its shape."""
+    path = Path(in_dir) / "points.adt"
+    points = read_tensor(path)
+    if points.ndim != 2:
+        raise TensorFormatError(f"{path}: coreset points of shape {points.shape}, not [M, D]")
+    return cKDTree(points)

@@ -134,7 +134,7 @@ class DatasetManifest:
         seen: set[str] = set()
         for e in self.images:
             # an id names its score map file, <image_id>.adt inside a stage's --out
-            if e.image_id in ("", ".", "..") or "/" in e.image_id:
+            if e.image_id in ("", ".", "..") or any(c in e.image_id for c in "/\0"):
                 raise ManifestError(f"{where}: image_id {e.image_id!r} is not a file name")
             if e.image_id in seen:
                 raise ManifestError(f"{where}: duplicate image_id {e.image_id!r}")
@@ -175,6 +175,7 @@ def read_json(path):
 
 
 def write_json(path, doc) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -246,6 +247,7 @@ def csv_row(values: Iterable) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("".join(csv_row(r) + "\n" for r in [header, *rows]))
 
 

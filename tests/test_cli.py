@@ -475,19 +475,42 @@ class TestExitCodes:
         assert flag.replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_score_entry_without_feature_path_is_data_error(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,split", [
+        (["score", "--coreset", "{root}/coreset"], "train"),
+        (["align", "--mode", "regressor", "--maps", "{root}/maps", "--model", "{root}/reg"],
+         "test"),
+        (["align", "--mode", "classifier", "--maps", "{root}/maps", "--model", "{root}/clf",
+          "--stats", "{root}/stats.csv"], "test"),
+    ], ids=["score", "align-regressor", "align-classifier"])
+    def test_score_entry_without_feature_path_is_data_error(
+            self, pipeline, tmp_path, capsys, argv, split):
+        """The last entry of the split has no feature_path: the read of its
+        features fails, after the images before it are read."""
         doc = json.loads((pipeline / "data" / "manifest.json").read_text())
         for rec in doc["images"]:
             rec["feature_path"] = str(pipeline / "data" / rec["feature_path"])
-        last_train = [r for r in doc["images"] if r["split"] == "train"][-1]
-        del last_train["feature_path"]
+        last = [r for r in doc["images"] if r["split"] == split][-1]
+        del last["feature_path"]
         data = tmp_path / "data"
         data.mkdir()
         (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([a.format(root=pipeline) for a in argv]
+                    + ["--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {last['image_id']}: no feature_path\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)], ids=["1-d", "3-d"])
+    def test_coreset_points_not_2d_is_data_error_naming_the_file(
+            self, pipeline, tmp_path, capsys, shape):
+        points = tmp_path / "coreset" / "points.adt"
+        points.parent.mkdir()
+        write_tensor(points, np.ones(shape))
         out = tmp_path / "maps"
-        assert main(["score", "--data", str(data), "--coreset", str(pipeline / "coreset"),
-                     "--out", str(out)]) == 2
-        assert f"{last_train['image_id']}: no feature_path" in capsys.readouterr().err
+        assert main(["score", "--data", str(pipeline / "data"),
+                     "--coreset", str(points.parent), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {points}: coreset points of shape {shape}, not [M, D]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -1091,8 +1114,8 @@ class TestAblateCommand:
 
 class TestTrainStack:
     """fit-base, train-head and each ablate worker read each split they need
-    once, straight into one stack in the feature files' dtype (float32); align
-    reads each image's features once, and the ablate parent none."""
+    once, the train split straight into one stack in the feature files' dtype
+    (float32); align reads each image's features once, and the ablate parent none."""
 
     @pytest.mark.filterwarnings("ignore::scorealign.align.DegenerateScaleWarning")
     @pytest.mark.parametrize("argv,split", [
@@ -1360,6 +1383,17 @@ class TestStageRunner:
                         calls.append((fn.name, name))
         assert sorted(calls) == [("main", "_write_run_config"), ("main", "read_manifest")]
         assert stage_args and all(a == ["args", "manifest"] for a in stage_args.values()), stage_args
+
+    def test_only_the_map_writer_makes_directories(self):
+        """write_csv and write_json make their file's parent; _write_maps alone
+        makes directories itself, as it must remove the ones it made on a failure."""
+        makers = set()
+        for top in ast.parse(Path(cli.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) in ("mkdir", "makedirs"):
+                    makers.add(getattr(top, "name", "<module>"))
+        assert makers == {"_write_maps"}
 
     def test_every_subcommand_is_traced_by_the_benchmark(self):
         """perfbench/tracing.py times each stage it lists in CLI_SUBCOMMANDS;

@@ -212,9 +212,9 @@ class TestManifest:
         with pytest.raises(ManifestError, match=match):
             read_manifest(path)
 
-    @pytest.mark.parametrize("image_id", ["", ".", "..", "../escaped", "a/b", "/abs"])
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\x00b"])
     def test_image_id_that_is_no_file_name_rejected(self, tmp_path, image_id):
-        """A score map is written as <image_id>.adt, so an id must not leave --out."""
+        """A score map is written as <image_id>.adt, so an id must be one file name in --out."""
         path = tmp_path / "m.json"
         write_json(path, {"images": [{"image_id": image_id, "split": "test", "label": "normal"}]})
         with pytest.raises(ManifestError) as info:

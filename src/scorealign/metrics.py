@@ -101,12 +101,10 @@ def average_precision(scores, labels) -> float:
 def image_score(values: np.ndarray, top_fraction) -> float:
     """Mean of the ceil(top_fraction * count) largest pixel scores.
 
-    `top_fraction="max"` returns the single maximum pixel score.
+    `top_fraction="max"` averages the one largest, so it returns the maximum.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    if top_fraction == "max":
-        return float(np.max(v))
-    m = ceil(top_fraction * v.size)
+    m = 1 if top_fraction == "max" else ceil(top_fraction * v.size)
     top = np.partition(v, v.size - m)[v.size - m :]
     return float(np.mean(np.sort(top)))
 

@@ -205,10 +205,6 @@ class Network:
             grad_out = layer.backward(grad_out)
         self.layers[deepest].param_backward(grad_out)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad[...] = 0.0
-
 
 def smooth_l1(y_hat, y, alpha):
     """Elementwise smooth-L1 loss and its gradient in y_hat.
@@ -258,37 +254,3 @@ class SGD:
             p.velocity += g
             p.value -= self.lr * p.velocity
             p.grad[...] = 0.0
-
-
-def grad_check(net: Network, x, loss_fn, eps=1e-5, seed=0) -> float:
-    """Max relative error of analytic parameter gradients vs central differences.
-
-    Every forward runs in train mode with a fresh generator seeded by `seed`,
-    so each one draws the same dropout masks and the analytic and numeric
-    passes see the same function; everything runs in float64.
-    """
-    x = np.asarray(x, dtype=np.float64)
-
-    def forward():
-        return net.forward(x, mode="train", rng=np.random.default_rng(seed))
-
-    net.zero_grad()
-    _, dout = loss_fn(forward())
-    net.backward(dout)
-
-    max_rel = 0.0
-    for p in net.parameters():
-        flat = p.value.ravel()
-        analytic = p.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, _ = loss_fn(forward())
-            flat[i] = orig - eps
-            lm, _ = loss_fn(forward())
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(analytic[i] - numeric) / denom)
-    net.zero_grad()
-    return max_rel

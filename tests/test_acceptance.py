@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from finite_diff import grad_check
 from test_metrics import ap_brute_force, auroc_pair_counting
 
-from scorealign import heads, net
+from scorealign import heads
 from scorealign.align import (
     ClassStats,
     align_maps,
@@ -133,7 +134,7 @@ def test_criterion_02_gradient_fidelity():
             loss, grad = smooth_l1(out, target, heads.ALPHA)
             return float(loss.sum()), grad
 
-        err = net.grad_check(network, x, loss_fn, seed=0)
+        err = grad_check(network, x, loss_fn, seed=0)
         assert err <= 1e-4, f"{name}: {err:.3e}"
         worst = max(worst, err)
     elapsed = time.perf_counter() - t0

@@ -57,6 +57,12 @@ def pipeline(tmp_path_factory):
     assert main(["train-head", "--data", data, "--mode", "classifier",
                  "--out", str(root / "clf"), "--structure", "2lin",
                  "--hidden-dim", "16", "--iterations", "60"]) == 0
+    # the oracle maps and the raw and oracle metrics that tests read, so each runs alone
+    assert main(["align", "--data", data, "--maps", maps, "--out", str(root / "aligned_oracle"),
+                 "--mode", "oracle", "--stats", str(root / "stats.csv")]) == 0
+    for name, scored in (("raw", maps), ("oracle", str(root / "aligned_oracle"))):
+        assert main(["eval", "--data", data, "--maps", scored,
+                     "--out", str(root / f"metrics_{name}.csv")]) == 0
     return root
 
 
@@ -1394,6 +1400,23 @@ class TestStageRunner:
                         node.func, "id", getattr(node.func, "attr", None)) in ("mkdir", "makedirs"):
                     makers.add(getattr(top, "name", "<module>"))
         assert makers == {"_write_maps"}
+
+    def test_every_definition_is_referenced_in_the_package(self):
+        """Each function and class under src/scorealign/ is named somewhere there,
+        as a name or an attribute; dunders, and auroc/average_precision, which
+        criterion 01 and the benchmark's tracer call, are exempt."""
+        defined, referenced = set(), set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add((path.stem, node.name))
+                elif isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+        unreferenced = {(module, name) for module, name in defined if name not in referenced
+                        and not (name.startswith("__") and name.endswith("__"))}
+        assert unreferenced == {("metrics", "auroc"), ("metrics", "average_precision")}
 
     def test_every_subcommand_is_traced_by_the_benchmark(self):
         """perfbench/tracing.py times each stage it lists in CLI_SUBCOMMANDS;

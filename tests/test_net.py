@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finite_diff import central_diff, grad_check
 from scorealign.net import (
     GELU,
     SGD,
@@ -15,26 +16,13 @@ from scorealign.net import (
     NumericalError,
     Param,
     cross_entropy,
-    grad_check,
     smooth_l1,
 )
 
 
 def finite_diff_input_grad(layer, x, dout, eps=1e-6):
     """Central-difference gradient of sum(out * dout) in the input."""
-    x = np.asarray(x, dtype=np.float64)
-    num = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = num.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        lp = float(np.sum(layer.forward(x) * dout))
-        flat[i] = orig - eps
-        lm = float(np.sum(layer.forward(x) * dout))
-        flat[i] = orig
-        gflat[i] = (lp - lm) / (2 * eps)
-    return num
+    return central_diff(lambda: float(np.sum(layer.forward(x) * dout)), x, eps)
 
 
 def direct_conv3x3(x, w, b, dout):
@@ -251,12 +239,8 @@ class TestSmoothL1:
         y_hat = rng.normal(size=20) * 0.3
         y = rng.normal(size=20) * 0.3
         _, grad = smooth_l1(y_hat, y, 0.1)
-        eps = 1e-7
-        for i in range(20):
-            yp = y_hat.copy(); yp[i] += eps
-            ym = y_hat.copy(); ym[i] -= eps
-            num = (np.sum(smooth_l1(yp, y, 0.1)[0]) - np.sum(smooth_l1(ym, y, 0.1)[0])) / (2 * eps)
-            assert grad[i] == pytest.approx(num, abs=1e-6)
+        num = central_diff(lambda: np.sum(smooth_l1(y_hat, y, 0.1)[0]), y_hat, 1e-7)
+        assert grad == pytest.approx(num, abs=1e-6)
 
 
 class TestCrossEntropy:
@@ -283,12 +267,8 @@ class TestCrossEntropy:
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(1, 5))
         _, grad = cross_entropy(logits, [3])
-        eps = 1e-7
-        for i in range(5):
-            lp = logits.copy(); lp[0, i] += eps
-            lm = logits.copy(); lm[0, i] -= eps
-            num = (cross_entropy(lp, [3])[0][0] - cross_entropy(lm, [3])[0][0]) / (2 * eps)
-            assert grad[0, i] == pytest.approx(num, abs=1e-6)
+        num = central_diff(lambda: cross_entropy(logits, [3])[0][0], logits, 1e-7)
+        assert grad == pytest.approx(num, abs=1e-6)
 
 
 class TestSGD:
@@ -386,6 +366,27 @@ class TestGradCheck:
         x = rng.normal(size=(2, 2, 4, 4))
         target = rng.normal(size=(2, 2))
         assert grad_check(net, x, _scalar_smooth_l1(target)) > 1e-2
+
+    def test_leaves_parameters_and_input_as_they_were(self):
+        """Both helpers perturb in place: grad_check leaves every parameter with its
+        prior bytes and every grad zero, whatever the grads held, and central_diff
+        leaves x with its prior bytes."""
+        rng = np.random.default_rng(15)
+        net = Network([Conv3x3(2, 2, rng), GELU(), Conv3x3(2, 2, rng), GELU(), Dropout(0.25),
+                       GlobalAvgPool(), Linear(2, 4, rng), GELU(), Dropout(0.25),
+                       Linear(4, 2, rng)])
+        x = rng.normal(size=(2, 2, 4, 4))
+        target = rng.normal(size=(2, 2))
+        before = [p.value.tobytes() for p in net.parameters()]
+        for p in net.parameters():
+            p.grad[...] = 1.0
+        assert grad_check(net, x, _scalar_smooth_l1(target), seed=3) < 1e-4
+        assert [p.value.tobytes() for p in net.parameters()] == before
+        assert not any(np.any(p.grad) for p in net.parameters())
+
+        x_before = x.tobytes()
+        central_diff(lambda: float(np.sum(np.sin(x))), x, 1e-5)
+        assert x.tobytes() == x_before
 
 
 class _NoBackward(Layer):
